@@ -439,7 +439,13 @@ impl Checkpoint {
     /// [`CheckpointError::Schema`] for a wrong schema string or a
     /// missing/mistyped field.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let v = parse_json(text).map_err(CheckpointError::Parse)?;
+        let mut v = parse_json(text).map_err(CheckpointError::Parse)?;
+        // The cache trace is most of the file: move it out of the tree
+        // instead of copying it.
+        let cache_v = match &mut v {
+            Json::Obj(fields) => take(fields, "cache"),
+            _ => None,
+        };
         let top = v.as_obj("checkpoint")?;
         let schema = get(top, "schema")?.as_str("schema")?;
         if schema != SCHEMA {
@@ -545,17 +551,18 @@ impl Checkpoint {
         for (k, v) in get(top, "counters")?.as_obj("counters")? {
             counters.insert(k.clone(), v.as_u64("counter")?);
         }
-        let cache = match get(top, "cache")? {
+        let cache = match cache_v.ok_or_else(|| missing("cache"))? {
             Json::Null => None,
-            v => {
-                let c = v.as_obj("cache")?;
-                Some(CacheSnapshot {
-                    hits: get(c, "hits")?.as_u64("cache hits")?,
-                    misses: get(c, "misses")?.as_u64("cache misses")?,
-                    evictions: get(c, "evictions")?.as_u64("cache evictions")?,
-                    trace: get(c, "trace")?.as_str("cache trace")?.to_string(),
-                })
-            }
+            Json::Obj(mut c) => Some(CacheSnapshot {
+                hits: get(&c, "hits")?.as_u64("cache hits")?,
+                misses: get(&c, "misses")?.as_u64("cache misses")?,
+                evictions: get(&c, "evictions")?.as_u64("cache evictions")?,
+                trace: match take(&mut c, "trace").ok_or_else(|| missing("trace"))? {
+                    Json::Str(s) => s,
+                    v => return Err(mistyped("cache trace", "string", &v)),
+                },
+            }),
+            v => return Err(mistyped("cache", "object", &v)),
         };
         // Lenient lookup: checkpoints written before the `gp` field
         // existed omit it entirely and must keep parsing.
@@ -757,11 +764,22 @@ fn mistyped(what: &str, want: &str, got: &Json) -> CheckpointError {
     ))
 }
 
+fn missing(key: &str) -> CheckpointError {
+    CheckpointError::Schema(format!("missing field {key:?}"))
+}
+
 fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, CheckpointError> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Schema(format!("missing field {key:?}")))
+        .ok_or_else(|| missing(key))
+}
+
+/// Moves the value of `key` out of `obj`, leaving `null` behind.
+fn take(obj: &mut [(String, Json)], key: &str) -> Option<Json> {
+    obj.iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| std::mem::replace(v, Json::Null))
 }
 
 fn f64_rows_one(v: &Json, what: &str) -> Result<Vec<f64>, CheckpointError> {
@@ -782,12 +800,26 @@ fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// Nesting depth bound: a corrupt file must fail to parse, not
+/// overflow the stack of the daemon scanning its state dir.
+const MAX_DEPTH: usize = 64;
+
+/// The prefix of `bytes` before the next `"`, `\` or control byte: the
+/// part of a string body that is copied through unchanged.
+fn plain_run(bytes: &[u8]) -> &[u8] {
+    let end = bytes
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len());
+    &bytes[..end]
 }
 
 struct Parser<'a> {
@@ -833,11 +865,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'0'..=b'9') => self.number(),
             Some(_) if self.eat_literal("null") => Ok(Json::Null),
@@ -847,7 +882,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -860,8 +895,7 @@ impl Parser<'_> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
+            fields.push((key, self.value(depth + 1)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -874,7 +908,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -883,7 +917,7 @@ impl Parser<'_> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -953,12 +987,14 @@ impl Parser<'_> {
                     return Err(format!("raw control character at byte {}", self.pos))
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte; validating only the run keeps the
+                    // decode linear in the document size.
+                    let run = plain_run(&self.bytes[self.pos..]);
+                    let text = std::str::from_utf8(run)
                         .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run.len();
                 }
             }
         }
@@ -968,6 +1004,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -1263,5 +1300,92 @@ mod tests {
         ck.platform = "weird \"name\"\n\twith\\escapes \u{1F600} \u{0001}".to_string();
         let back = Checkpoint::from_json(&ck.to_json()).expect("parses");
         assert_eq!(back.platform, ck.platform);
+    }
+
+    #[test]
+    fn depth_bomb_is_a_parse_error() {
+        let bomb = "[".repeat(1 << 20);
+        match Checkpoint::from_json(&bomb) {
+            Err(CheckpointError::Parse(m)) => assert!(m.contains("nesting"), "{m}"),
+            other => panic!("expected a nesting parse error, got {other:?}"),
+        }
+        // The bound sits far above the real format's few levels.
+        let deep = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&deep).is_ok());
+    }
+
+    /// One corrupt file must not take down the daemon scanning its
+    /// state dir at boot.
+    #[test]
+    fn depth_bomb_in_state_dir_is_filed_corrupt() {
+        let dir = std::env::temp_dir().join(format!("unico-ckpt-depth-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).expect("mkdir");
+        sample()
+            .write_atomic(&dir.join("a.checkpoint"))
+            .expect("write a");
+        fs::write(dir.join("bomb.checkpoint"), "[".repeat(1 << 20)).expect("write bomb");
+        let scan = scan_dir(&dir).expect("scan");
+        assert_eq!(scan.resumable.len(), 1);
+        assert_eq!(scan.corrupt.len(), 1);
+        assert!(scan.corrupt[0].0.ends_with("bomb.checkpoint"));
+        assert!(matches!(scan.corrupt[0].1, CheckpointError::Parse(_)));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cache-trace-shaped 1 MiB string decodes intact and in linear
+    /// time. The bound is generous on purpose: a quadratic decoder, one
+    /// that re-validates the rest of the document per character, takes
+    /// over 30 s on this input even in a release build.
+    #[test]
+    fn scaling_one_mib_string_decodes_linearly() {
+        let mut big = String::new();
+        for i in 0.. {
+            if big.len() >= 1 << 20 {
+                break;
+            }
+            big.push_str(&format!(
+                "entry {i:07} \u{e9}\u{20ac}\u{1F600}\t{}\n",
+                i % 977
+            ));
+        }
+        let doc = string(&big);
+        let start = std::time::Instant::now();
+        let parsed = parse_json(&doc).expect("parses");
+        let took = start.elapsed();
+        assert_eq!(parsed, Json::Str(big));
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+    }
+
+    /// Characters that stress the string run scanner: plain ASCII, every
+    /// byte it stops at, and 2-, 3- and 4-byte scalars.
+    const ALPHABET: &str =
+        "aZ /\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}\u{e9}\u{20ac}\u{fffd}\u{1F600}\u{10FFFF}";
+
+    /// Strings over [`ALPHABET`], with an arbitrary scalar value mixed
+    /// in one draw in twenty.
+    fn text() -> impl Strategy<Value = String> {
+        let alphabet: Vec<char> = ALPHABET.chars().collect();
+        proptest::collection::vec((0..alphabet.len() + 1, 0u32..0x11_0000), 0..48).prop_map(
+            move |picks| {
+                picks
+                    .into_iter()
+                    .map(|(i, c)| {
+                        alphabet
+                            .get(i)
+                            .copied()
+                            .unwrap_or_else(|| char::from_u32(c).unwrap_or('\u{fffd}'))
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        fn string_writer_round_trips_through_the_parser(s in text()) {
+            prop_assert_eq!(parse_json(&string(&s)), Ok(Json::Str(s.clone())));
+        }
     }
 }

@@ -187,6 +187,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
 /// must not be stack-overflowable.
 const MAX_DEPTH: usize = 64;
 
+/// The prefix of `bytes` before the next `"`, `\` or control byte: the
+/// part of a string body that is copied through unchanged.
+fn plain_run(bytes: &[u8]) -> &[u8] {
+    let end = bytes
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len());
+    &bytes[..end]
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -364,11 +374,14 @@ impl Parser<'_> {
                     return Err(format!("raw control character at byte {}", self.pos))
                 }
                 Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte; validating only the run keeps a
+                    // large request body from stalling the poller.
+                    let run = plain_run(&self.bytes[self.pos..]);
+                    let text = std::str::from_utf8(run)
                         .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run.len();
                 }
             }
         }
@@ -378,6 +391,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_full_grammar() {
@@ -441,5 +455,63 @@ mod tests {
         let v = parse(r#"{"a": "text"}"#).unwrap();
         let err = v.get("a").unwrap().as_u64("field a").unwrap_err();
         assert!(err.contains("field a") && err.contains("string"), "{err}");
+    }
+
+    /// A 1 MiB string field decodes intact and in linear time. Request
+    /// bodies are parsed on the poller thread, so this bounds how long
+    /// one large body can hold up every other connection. The bound is
+    /// generous on purpose: a quadratic decoder, one that re-validates
+    /// the rest of the body per character, takes over 30 s on this
+    /// input even in a release build.
+    #[test]
+    fn scaling_one_mib_string_decodes_linearly() {
+        let mut big = String::new();
+        for i in 0.. {
+            if big.len() >= 1 << 20 {
+                break;
+            }
+            big.push_str(&format!(
+                "field {i:07} \u{e9}\u{20ac}\u{1F600}\t\"{}\"\n",
+                i % 977
+            ));
+        }
+        let doc = escape(&big);
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).expect("parses");
+        let took = start.elapsed();
+        assert_eq!(parsed, Json::Str(big));
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+    }
+
+    /// Characters that stress the string run scanner: plain ASCII, every
+    /// byte it stops at, and 2-, 3- and 4-byte scalars.
+    const ALPHABET: &str =
+        "aZ /\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}\u{e9}\u{20ac}\u{fffd}\u{1F600}\u{10FFFF}";
+
+    /// Strings over [`ALPHABET`], with an arbitrary scalar value mixed
+    /// in one draw in twenty.
+    fn text() -> impl Strategy<Value = String> {
+        let alphabet: Vec<char> = ALPHABET.chars().collect();
+        proptest::collection::vec((0..alphabet.len() + 1, 0u32..0x11_0000), 0..48).prop_map(
+            move |picks| {
+                picks
+                    .into_iter()
+                    .map(|(i, c)| {
+                        alphabet
+                            .get(i)
+                            .copied()
+                            .unwrap_or_else(|| char::from_u32(c).unwrap_or('\u{fffd}'))
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        fn escape_round_trips_through_parse(s in text()) {
+            prop_assert_eq!(parse(&escape(&s)), Ok(Json::Str(s.clone())));
+        }
     }
 }

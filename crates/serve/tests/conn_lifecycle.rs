@@ -352,6 +352,64 @@ fn stalled_reader_does_not_block_job_progress_or_healthy_subscribers() {
     sched.shutdown();
 }
 
+/// Request bodies are parsed on the poller thread, so decoding one
+/// large body must not hold up every other connection. A quadratic
+/// string decoder keeps a `max_body`-sized string field on the poller
+/// for over 30 s even in a release build.
+#[test]
+fn max_body_string_field_does_not_stall_other_connections() {
+    let (server, sched) = boot_with("large-string-body", |_| {});
+    let addr = server.addr();
+    let max_body = ServeConfig::default().max_body;
+
+    // An unknown platform name of about 1 MiB, padded so the body is
+    // exactly `max_body` bytes: it must be decoded in full before the
+    // spec can be rejected.
+    let frame = r#"{"platform": ""}"#.len();
+    let mut name = "n\u{e9}twork-".repeat(max_body / 9);
+    while frame + name.len() > max_body {
+        name.pop();
+    }
+    while frame + name.len() < max_body {
+        name.push('x');
+    }
+    let body = format!(r#"{{"platform": "{name}"}}"#);
+    assert_eq!(body.len(), max_body);
+    let mut big = TcpStream::connect(addr).expect("connect");
+    let big_reply = {
+        let mut conn = big.try_clone().expect("clone");
+        std::thread::spawn(move || read_until_close(&mut conn, Duration::from_secs(60)))
+    };
+    big.write_all(
+        format!(
+            "POST /v1/jobs HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )
+    .expect("send large body");
+    // Let the server pick the body up before the probe arrives.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let t0 = Instant::now();
+    let health = request(addr, "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
+    let waited = t0.elapsed();
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "/healthz waited {waited:?} behind a large body"
+    );
+
+    let reply = big_reply.join().expect("reader");
+    assert!(
+        reply.starts_with("HTTP/1.1 4"),
+        "{}",
+        reply.chars().take(200).collect::<String>()
+    );
+    server.shutdown();
+    sched.shutdown();
+}
+
 #[test]
 fn daemon_binary_reports_bind_failure_and_exits_nonzero() {
     let taken = TcpListener::bind("127.0.0.1:0").expect("hold a port");

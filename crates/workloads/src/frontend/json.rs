@@ -218,6 +218,16 @@ fn parse_value(text: &str) -> Result<Value, FrontendError> {
     Ok(v)
 }
 
+/// The prefix of `bytes` before the next `"`, `\` or control byte: the
+/// part of a string body that is copied through unchanged.
+fn plain_run(bytes: &[u8]) -> &[u8] {
+    let end = bytes
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len());
+    &bytes[..end]
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -351,6 +361,46 @@ impl Cursor<'_> {
             .ok_or_else(|| err(format!("bad number at byte {start}")))
     }
 
+    /// Four hex digits at the cursor, consumed.
+    fn hex4(&mut self) -> Result<u32, FrontendError> {
+        let at = self.pos;
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let v = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| err(format!("bad \\u escape at byte {at}")))?;
+            code = code * 16 + v;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Decodes the body of a `\uXXXX` escape (cursor just past the
+    /// `u`), joining a UTF-16 surrogate pair into one scalar. A lone
+    /// surrogate is an error: it has no UTF-8 encoding.
+    fn unicode_escape(&mut self) -> Result<char, FrontendError> {
+        let at = self.pos;
+        let hi = self.hex4()?;
+        if !(0xD800..=0xDFFF).contains(&hi) {
+            return Ok(char::from_u32(hi).expect("not a surrogate"));
+        }
+        let lone = || err(format!("lone surrogate \\u{hi:04x} at byte {at}"));
+        if hi >= 0xDC00 || !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Err(lone());
+        }
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if !(0xDC00..=0xDFFF).contains(&lo) {
+            return Err(lone());
+        }
+        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+        Ok(char::from_u32(code).expect("a surrogate pair decodes to a scalar"))
+    }
+
     fn string(&mut self) -> Result<String, FrontendError> {
         self.eat(b'"')?;
         let mut out = String::new();
@@ -370,6 +420,13 @@ impl Cursor<'_> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000c}'),
+                        Some(b'u') => {
+                            self.pos += 1;
+                            out.push(self.unicode_escape()?);
+                            continue;
+                        }
                         _ => return Err(err(format!("bad escape at byte {}", self.pos))),
                     }
                     self.pos += 1;
@@ -378,11 +435,14 @@ impl Cursor<'_> {
                     return Err(err(format!("raw control character at byte {}", self.pos)))
                 }
                 Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte; validating only the run keeps the
+                    // decode linear in the document size.
+                    let run = plain_run(&self.bytes[self.pos..]);
+                    let text =
+                        std::str::from_utf8(run).map_err(|_| err("invalid utf-8 in string"))?;
+                    out.push_str(text);
+                    self.pos += run.len();
                 }
             }
         }
@@ -392,6 +452,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_schema() {
@@ -444,5 +505,138 @@ mod tests {
         }
         let bomb = "[".repeat(100_000);
         assert!(parse_graph_json(&bomb).is_err());
+    }
+
+    /// A JSON string literal the way an external writer might emit it:
+    /// quotes, backslashes and control characters always escaped, in
+    /// short form where one exists; with `ensure_ascii` every non-ASCII
+    /// scalar becomes `\uXXXX` (a surrogate pair above the BMP), as in
+    /// Python's default `json.dumps`.
+    fn quote(s: &str, ensure_ascii: bool) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if c < ' ' || (ensure_ascii && !c.is_ascii()) => {
+                    let mut units = [0u16; 2];
+                    for u in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{u:04x}"));
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn graph_name(doc: &str) -> Result<String, FrontendError> {
+        parse_graph_json(doc).map(|g| g.name)
+    }
+
+    #[test]
+    fn standard_escapes_decode() {
+        let doc = r#"{"name": "conv_\u00e9\u20ac\ud83d\ude00 \b\f\/\u0041"}"#;
+        assert_eq!(
+            graph_name(doc).unwrap(),
+            "conv_\u{e9}\u{20ac}\u{1F600} \u{8}\u{c}/A"
+        );
+        // Upper-case hex digits are accepted too.
+        assert_eq!(
+            graph_name(r#"{"name": "\uD83D\uDE00"}"#).unwrap(),
+            "\u{1F600}"
+        );
+        // Python's default `json.dumps` output imports.
+        let node_doc = format!(
+            r#"{{"nodes": [{{"op": "Relu", "name": {}, "inputs": ["x"], "outputs": ["y"]}}]}}"#,
+            quote("relu_\u{e9}t\u{e9}_\u{1F600}", true)
+        );
+        let g = parse_graph_json(&node_doc).expect("ensure_ascii names import");
+        assert_eq!(g.nodes[0].name, "relu_\u{e9}t\u{e9}_\u{1F600}");
+    }
+
+    #[test]
+    fn lone_surrogates_and_bad_unicode_escapes_are_typed_errors() {
+        for bad in [
+            r#"{"name": "\ud83d"}"#,       // high surrogate, string ends
+            r#"{"name": "\ud83dx"}"#,      // high surrogate, plain text follows
+            r#"{"name": "\ud83d\u0041"}"#, // high surrogate, non-surrogate follows
+            r#"{"name": "\ud83d\ud83d"}"#, // two high surrogates
+            r#"{"name": "\ude00"}"#,       // low surrogate first
+            r#"{"name": "\u12"}"#,         // too few digits
+            r#"{"name": "\u12g4"}"#,       // not hex
+            r#"{"name": "\u+123"}"#,       // sign is not a digit
+            r#"{"name": "\u"#,             // truncated document
+        ] {
+            match graph_name(bad) {
+                Err(FrontendError::Json(_)) => {}
+                other => panic!("{bad:?}: expected Json error, got {other:?}"),
+            }
+        }
+        let msg = graph_name(r#"{"name": "\ude00"}"#).unwrap_err().to_string();
+        assert!(msg.contains("lone surrogate"), "{msg}");
+    }
+
+    /// A 1 MiB graph name decodes intact and in linear time. The bound
+    /// is generous on purpose: a quadratic decoder, one that
+    /// re-validates the rest of the document per character, takes over
+    /// 30 s on this input even in a release build.
+    #[test]
+    fn scaling_one_mib_string_decodes_linearly() {
+        let mut big = String::new();
+        for i in 0.. {
+            if big.len() >= 1 << 20 {
+                break;
+            }
+            big.push_str(&format!(
+                "node {i:07} \u{e9}\u{20ac}\u{1F600}\t{}\n",
+                i % 977
+            ));
+        }
+        let doc = format!("{{\"name\": {}}}", quote(&big, false));
+        let start = std::time::Instant::now();
+        let name = graph_name(&doc).expect("parses");
+        let took = start.elapsed();
+        assert_eq!(name, big);
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+    }
+
+    /// Characters that stress the string run scanner: plain ASCII, every
+    /// byte it stops at, and 2-, 3- and 4-byte scalars.
+    const ALPHABET: &str =
+        "aZ /\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}\u{e9}\u{20ac}\u{fffd}\u{1F600}\u{10FFFF}";
+
+    /// Strings over [`ALPHABET`], with an arbitrary scalar value mixed
+    /// in one draw in twenty.
+    fn text() -> impl Strategy<Value = String> {
+        let alphabet: Vec<char> = ALPHABET.chars().collect();
+        proptest::collection::vec((0..alphabet.len() + 1, 0u32..0x11_0000), 0..48).prop_map(
+            move |picks| {
+                picks
+                    .into_iter()
+                    .map(|(i, c)| {
+                        alphabet
+                            .get(i)
+                            .copied()
+                            .unwrap_or_else(|| char::from_u32(c).unwrap_or('\u{fffd}'))
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        fn graph_name_round_trips_through_parse(s in text(), ascii in 0u8..2) {
+            let doc = format!("{{\"name\": {}}}", quote(&s, ascii == 1));
+            prop_assert_eq!(graph_name(&doc).expect("parses"), s);
+        }
     }
 }
