@@ -28,6 +28,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use unico_workloads::json::{self, Json};
+
 use crate::unico::UnicoConfig;
 
 /// Schema identifier embedded in (and required of) every checkpoint.
@@ -318,7 +320,7 @@ impl Checkpoint {
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(4096);
         o.push('{');
-        o.push_str(&format!("\"schema\":{},", string(SCHEMA)));
+        o.push_str(&format!("\"schema\":{},", json::escape(SCHEMA)));
         let c = &self.config;
         o.push_str(&format!(
             "\"config\":{{\"max_iter\":{},\"batch\":{},\"b_max\":{},\"auc_fraction\":{},\
@@ -339,7 +341,7 @@ impl Checkpoint {
             c.seed,
             c.workers
         ));
-        o.push_str(&format!("\"platform\":{},", string(&self.platform)));
+        o.push_str(&format!("\"platform\":{},", json::escape(&self.platform)));
         o.push_str(&format!("\"iterations_done\":{},", self.iterations_done));
         o.push_str(&format!(
             "\"rng\":[{},{},{},{}],",
@@ -392,7 +394,7 @@ impl Checkpoint {
         push_joined(&mut o, &self.networks, |o, n| {
             o.push_str(&format!(
                 "{{\"name\":{},\"layers\":{}}}",
-                string(&n.name),
+                json::escape(&n.name),
                 n.layers
             ))
         });
@@ -403,7 +405,7 @@ impl Checkpoint {
                 o.push(',');
             }
             first = false;
-            o.push_str(&format!("{}:{v}", string(k)));
+            o.push_str(&format!("{}:{v}", json::escape(k)));
         }
         o.push_str("},\"cache\":");
         match &self.cache {
@@ -413,7 +415,7 @@ impl Checkpoint {
                 c.hits,
                 c.misses,
                 c.evictions,
-                string(&c.trace)
+                json::escape(&c.trace)
             )),
         }
         o.push_str(",\"gp\":");
@@ -437,9 +439,14 @@ impl Checkpoint {
     ///
     /// [`CheckpointError::Parse`] for malformed JSON,
     /// [`CheckpointError::Schema`] for a wrong schema string or a
-    /// missing/mistyped field.
+    /// missing/mistyped field (a float that is not a bit pattern
+    /// included).
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let mut v = parse_json(text).map_err(CheckpointError::Parse)?;
+        let v = json::parse(text).map_err(CheckpointError::Parse)?;
+        Checkpoint::from_value(v).map_err(CheckpointError::Schema)
+    }
+
+    fn from_value(mut v: Json) -> Result<Self, String> {
         // The cache trace is most of the file: move it out of the tree
         // instead of copying it.
         let cache_v = match &mut v {
@@ -449,30 +456,30 @@ impl Checkpoint {
         let top = v.as_obj("checkpoint")?;
         let schema = get(top, "schema")?.as_str("schema")?;
         if schema != SCHEMA {
-            return Err(CheckpointError::Schema(format!(
+            return Err(format!(
                 "unsupported schema {schema:?} (expected {SCHEMA:?})"
-            )));
+            ));
         }
         let c = get(top, "config")?.as_obj("config")?;
         let config = UnicoConfig {
             max_iter: get(c, "max_iter")?.as_usize("max_iter")?,
             batch: get(c, "batch")?.as_usize("batch")?,
             b_max: get(c, "b_max")?.as_u64("b_max")?,
-            auc_fraction: get(c, "auc_fraction")?.as_f64_bits("auc_fraction")?,
+            auc_fraction: f64_bits(get(c, "auc_fraction")?, "auc_fraction")?,
             high_fidelity: get(c, "high_fidelity")?.as_bool("high_fidelity")?,
             robustness_objective: get(c, "robustness_objective")?
                 .as_bool("robustness_objective")?,
-            alpha: get(c, "alpha")?.as_f64_bits("alpha")?,
-            rho: get(c, "rho")?.as_f64_bits("rho")?,
-            random_fraction: get(c, "random_fraction")?.as_f64_bits("random_fraction")?,
+            alpha: f64_bits(get(c, "alpha")?, "alpha")?,
+            rho: f64_bits(get(c, "rho")?, "rho")?,
+            random_fraction: f64_bits(get(c, "random_fraction")?, "random_fraction")?,
             candidate_pool: get(c, "candidate_pool")?.as_usize("candidate_pool")?,
-            uul_percentile: get(c, "uul_percentile")?.as_f64_bits("uul_percentile")?,
+            uul_percentile: f64_bits(get(c, "uul_percentile")?, "uul_percentile")?,
             seed: get(c, "seed")?.as_u64("seed")?,
             workers: get(c, "workers")?.as_u64("workers")? as u32,
         };
         let rng_v = get(top, "rng")?.as_arr("rng")?;
         if rng_v.len() != 4 {
-            return Err(CheckpointError::Schema("rng must have 4 words".into()));
+            return Err("rng must have 4 words".into());
         }
         let mut rng = [0u64; 4];
         for (dst, v) in rng.iter_mut().zip(rng_v) {
@@ -488,7 +495,7 @@ impl Checkpoint {
                     idx: get(e, "idx")?.as_usize("front idx")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let evaluations = get(top, "evaluations")?
             .as_arr("evaluations")?
             .iter()
@@ -504,16 +511,14 @@ impl Checkpoint {
                     v => {
                         let a = f64_rows_one(v, "assessment")?;
                         if a.len() != 3 {
-                            return Err(CheckpointError::Schema(
-                                "assessment must have 3 objectives".into(),
-                            ));
+                            return Err("assessment must have 3 objectives".into());
                         }
                         Some([a[0], a[1], a[2]])
                     }
                 };
                 let robustness = match get(e, "robustness")? {
                     Json::Null => None,
-                    v => Some(v.as_f64_bits("robustness")?),
+                    v => Some(f64_bits(v, "robustness")?),
                 };
                 Ok(EvalSnapshot {
                     hw_words,
@@ -524,18 +529,18 @@ impl Checkpoint {
                     fed: get(e, "fed")?.as_bool("fed")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let trace = get(top, "trace")?
             .as_arr("trace")?
             .iter()
             .map(|p| {
                 let p = p.as_obj("trace point")?;
                 Ok(TraceSnapshot {
-                    seconds: get(p, "seconds")?.as_f64_bits("seconds")?,
+                    seconds: f64_bits(get(p, "seconds")?, "seconds")?,
                     front: f64_rows(get(p, "front")?, "trace front")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let networks = get(top, "networks")?
             .as_arr("networks")?
             .iter()
@@ -546,7 +551,7 @@ impl Checkpoint {
                     layers: get(n, "layers")?.as_usize("network layers")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let mut counters = BTreeMap::new();
         for (k, v) in get(top, "counters")?.as_obj("counters")? {
             counters.insert(k.clone(), v.as_u64("counter")?);
@@ -571,9 +576,9 @@ impl Checkpoint {
             Some(v) => {
                 let g = v.as_obj("gp")?;
                 Some(GpHypers {
-                    length_scale: get(g, "length_scale")?.as_f64_bits("gp length_scale")?,
-                    variance: get(g, "variance")?.as_f64_bits("gp variance")?,
-                    noise: get(g, "noise")?.as_f64_bits("gp noise")?,
+                    length_scale: f64_bits(get(g, "length_scale")?, "gp length_scale")?,
+                    variance: f64_bits(get(g, "variance")?, "gp variance")?,
+                    noise: f64_bits(get(g, "noise")?, "gp noise")?,
                     fitted_n: get(g, "fitted_n")?.as_usize("gp fitted_n")?,
                 })
             }
@@ -583,8 +588,8 @@ impl Checkpoint {
             platform: get(top, "platform")?.as_str("platform")?.to_string(),
             iterations_done: get(top, "iterations_done")?.as_usize("iterations_done")?,
             rng,
-            clock_seconds: get(top, "clock_seconds")?.as_f64_bits("clock_seconds")?,
-            uul: get(top, "uul")?.as_f64_bits("uul")?,
+            clock_seconds: f64_bits(get(top, "clock_seconds")?, "clock_seconds")?,
+            uul: f64_bits(get(top, "uul")?, "uul")?,
             accepted_d: f64_rows_one(get(top, "accepted_d")?, "accepted_d")?,
             front,
             evaluations,
@@ -665,110 +670,17 @@ fn push_joined<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, 
     }
 }
 
-fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn missing(key: &str) -> String {
+    format!("missing field {key:?}")
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader for the checkpoint dialect: objects, arrays,
-// strings, `true`/`false`/`null`, and *unsigned decimal integers* (the
-// writer stores every float as its u64 bit pattern, so signs, fractions
-// and exponents never occur and are rejected).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+fn mistyped(what: &str, want: &str, got: &Json) -> String {
+    format!("{what}: expected {want}, found {}", got.type_name())
 }
 
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], CheckpointError> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            v => Err(mistyped(what, "object", v)),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], CheckpointError> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            v => Err(mistyped(what, "array", v)),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, CheckpointError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            v => Err(mistyped(what, "string", v)),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, CheckpointError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            v => Err(mistyped(what, "bool", v)),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, CheckpointError> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            v => Err(mistyped(what, "number", v)),
-        }
-    }
-
-    fn as_usize(&self, what: &str) -> Result<usize, CheckpointError> {
-        usize::try_from(self.as_u64(what)?)
-            .map_err(|_| CheckpointError::Schema(format!("{what} overflows usize")))
-    }
-
-    fn as_f64_bits(&self, what: &str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.as_u64(what)?))
-    }
-}
-
-fn mistyped(what: &str, want: &str, got: &Json) -> CheckpointError {
-    CheckpointError::Schema(format!(
-        "{what}: expected {want}, found {}",
-        got.type_name()
-    ))
-}
-
-fn missing(key: &str) -> CheckpointError {
-    CheckpointError::Schema(format!("missing field {key:?}"))
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, CheckpointError> {
+/// A required field: absence is a schema error, while an explicit `null`
+/// is returned as a value (unlike [`Json::get`], which folds the two).
+fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
@@ -782,229 +694,25 @@ fn take(obj: &mut [(String, Json)], key: &str) -> Option<Json> {
         .map(|(_, v)| std::mem::replace(v, Json::Null))
 }
 
-fn f64_rows_one(v: &Json, what: &str) -> Result<Vec<f64>, CheckpointError> {
-    v.as_arr(what)?
-        .iter()
-        .map(|b| b.as_f64_bits(what))
-        .collect()
+/// A float stored as its bit pattern (an unsigned integer literal).
+fn f64_bits(v: &Json, what: &str) -> Result<f64, String> {
+    v.as_u64(what).map(f64::from_bits)
 }
 
-fn f64_rows(v: &Json, what: &str) -> Result<Vec<Vec<f64>>, CheckpointError> {
+fn f64_rows_one(v: &Json, what: &str) -> Result<Vec<f64>, String> {
+    v.as_arr(what)?.iter().map(|b| f64_bits(b, what)).collect()
+}
+
+fn f64_rows(v: &Json, what: &str) -> Result<Vec<Vec<f64>>, String> {
     v.as_arr(what)?
         .iter()
         .map(|r| f64_rows_one(r, what))
         .collect()
 }
 
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-/// Nesting depth bound: a corrupt file must fail to parse, not
-/// overflow the stack of the daemon scanning its state dir.
-const MAX_DEPTH: usize = 64;
-
-/// The prefix of `bytes` before the next `"`, `\` or control byte: the
-/// part of a string body that is copied through unchanged.
-fn plain_run(bytes: &[u8]) -> &[u8] {
-    let end = bytes
-        .iter()
-        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-        .unwrap_or(bytes.len());
-    &bytes[..end]
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            Some(_) if self.eat_literal("null") => Ok(Json::Null),
-            Some(_) if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(_) if self.eat_literal("false") => Ok(Json::Bool(false)),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            fields.push((key, self.value(depth + 1)?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(format!(
-                "non-integer number at byte {start} (checkpoint floats are bit patterns)"
-            ));
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        s.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| format!("number out of u64 range at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "\\u escape not a scalar".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control character at byte {}", self.pos))
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote, escape or
-                    // control byte; validating only the run keeps the
-                    // decode linear in the document size.
-                    let run = plain_run(&self.bytes[self.pos..]);
-                    let text = std::str::from_utf8(run)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    out.push_str(text);
-                    self.pos += run.len();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -1137,19 +845,42 @@ mod tests {
             "{\"schema\":}",
             "nope",
             "{\"schema\":\"unico.checkpoint.v1\"} trailing",
-            "{\"a\":1.5}",
-            "{\"a\":-3}",
         ] {
             assert!(
                 matches!(Checkpoint::from_json(bad), Err(CheckpointError::Parse(_))),
                 "{bad:?} must be a parse error"
             );
         }
-        // Well-formed JSON with a missing field is a schema error.
-        assert!(matches!(
-            Checkpoint::from_json("{\"schema\":\"unico.checkpoint.v1\"}"),
-            Err(CheckpointError::Schema(_))
-        ));
+        // Well-formed JSON that is not a checkpoint is a schema error.
+        for bad in [
+            "{\"schema\":\"unico.checkpoint.v1\"}",
+            "{\"a\":1.5}",
+            "{\"a\":-3}",
+        ] {
+            assert!(
+                matches!(Checkpoint::from_json(bad), Err(CheckpointError::Schema(_))),
+                "{bad:?} must be a schema error"
+            );
+        }
+    }
+
+    /// Floats are stored as bit patterns and words as unsigned integers,
+    /// so a decimal float or a negative number in a valid checkpoint is a
+    /// schema error that names the field.
+    #[test]
+    fn non_bit_pattern_numbers_are_schema_errors() {
+        let json = sample().to_json();
+        let uul = format!("\"uul\":{},", f64::INFINITY.to_bits());
+        for (doc, field) in [
+            (json.replace(&uul, "\"uul\":1.5,"), "uul"),
+            (json.replace("\"rng\":[1,", "\"rng\":[-3,"), "rng word"),
+        ] {
+            assert_ne!(doc, json, "the edit must apply");
+            match Checkpoint::from_json(&doc) {
+                Err(CheckpointError::Schema(m)) => assert!(m.contains(field), "{m}"),
+                other => panic!("expected a schema error naming {field}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1309,9 +1040,6 @@ mod tests {
             Err(CheckpointError::Parse(m)) => assert!(m.contains("nesting"), "{m}"),
             other => panic!("expected a nesting parse error, got {other:?}"),
         }
-        // The bound sits far above the real format's few levels.
-        let deep = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
-        assert!(parse_json(&deep).is_ok());
     }
 
     /// One corrupt file must not take down the daemon scanning its
@@ -1331,61 +1059,5 @@ mod tests {
         assert!(scan.corrupt[0].0.ends_with("bomb.checkpoint"));
         assert!(matches!(scan.corrupt[0].1, CheckpointError::Parse(_)));
         fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A cache-trace-shaped 1 MiB string decodes intact and in linear
-    /// time. The bound is generous on purpose: a quadratic decoder, one
-    /// that re-validates the rest of the document per character, takes
-    /// over 30 s on this input even in a release build.
-    #[test]
-    fn scaling_one_mib_string_decodes_linearly() {
-        let mut big = String::new();
-        for i in 0.. {
-            if big.len() >= 1 << 20 {
-                break;
-            }
-            big.push_str(&format!(
-                "entry {i:07} \u{e9}\u{20ac}\u{1F600}\t{}\n",
-                i % 977
-            ));
-        }
-        let doc = string(&big);
-        let start = std::time::Instant::now();
-        let parsed = parse_json(&doc).expect("parses");
-        let took = start.elapsed();
-        assert_eq!(parsed, Json::Str(big));
-        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
-    }
-
-    /// Characters that stress the string run scanner: plain ASCII, every
-    /// byte it stops at, and 2-, 3- and 4-byte scalars.
-    const ALPHABET: &str =
-        "aZ /\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}\u{e9}\u{20ac}\u{fffd}\u{1F600}\u{10FFFF}";
-
-    /// Strings over [`ALPHABET`], with an arbitrary scalar value mixed
-    /// in one draw in twenty.
-    fn text() -> impl Strategy<Value = String> {
-        let alphabet: Vec<char> = ALPHABET.chars().collect();
-        proptest::collection::vec((0..alphabet.len() + 1, 0u32..0x11_0000), 0..48).prop_map(
-            move |picks| {
-                picks
-                    .into_iter()
-                    .map(|(i, c)| {
-                        alphabet
-                            .get(i)
-                            .copied()
-                            .unwrap_or_else(|| char::from_u32(c).unwrap_or('\u{fffd}'))
-                    })
-                    .collect()
-            },
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        fn string_writer_round_trips_through_the_parser(s in text()) {
-            prop_assert_eq!(parse_json(&string(&s)), Ok(Json::Str(s.clone())));
-        }
     }
 }

@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use unico_workloads::json::{self, Json};
+
 /// Monotonic counters tracked by [`Telemetry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
@@ -396,7 +398,7 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("{}:{v}", json_string(k)));
+            out.push_str(&format!("{}:{v}", json::escape(k)));
         }
         out.push_str("},\"phases_s\":{");
         first = true;
@@ -405,7 +407,7 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
+            out.push_str(&format!("{}:{}", json::escape(k), Json::F64(*v)));
         }
         out.push_str("}}");
         out
@@ -521,7 +523,7 @@ impl RunReport {
     fn render_json(&self, include_phases: bool) -> String {
         let mut out = String::from("{");
         out.push_str("\"schema\":\"unico.run_report.v3\",");
-        out.push_str(&format!("\"name\":{},", json_string(&self.name)));
+        out.push_str(&format!("\"name\":{},", json::escape(&self.name)));
         if include_phases {
             out.push_str("\"phases_s\":{");
             let mut first = true;
@@ -530,7 +532,7 @@ impl RunReport {
                     out.push(',');
                 }
                 first = false;
-                out.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
+                out.push_str(&format!("{}:{}", json::escape(k), Json::F64(*v)));
             }
             out.push_str("},");
         }
@@ -541,7 +543,7 @@ impl RunReport {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("{}:{v}", json_string(k)));
+            out.push_str(&format!("{}:{v}", json::escape(k)));
         }
         out.push_str("},\"cache\":");
         match &self.cache {
@@ -552,7 +554,7 @@ impl RunReport {
                 c.misses,
                 c.evictions,
                 c.entries,
-                json_number(c.hit_rate())
+                Json::F64(c.hit_rate())
             )),
         }
         out.push_str(",\"faults\":");
@@ -571,35 +573,6 @@ impl RunReport {
         }
         out.push('}');
         out
-    }
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number literal; non-finite values (which JSON cannot express)
-/// degrade to `null`.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -657,13 +630,6 @@ mod tests {
             "balanced braces"
         );
         assert!(!json.chars().any(|c| (c as u32) < 0x20));
-    }
-
-    #[test]
-    fn json_number_guards_non_finite() {
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert_eq!(json_number(f64::NAN), "null");
     }
 
     #[test]

@@ -60,13 +60,14 @@ pub mod cluster;
 pub mod conn;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod metrics;
 pub mod poll;
 pub mod scheduler;
 pub mod server;
 pub mod spec;
 pub mod worker;
+
+pub use unico_workloads::json;
 
 pub use cluster::{ClusterState, WorkerCacheReport};
 pub use conn::NetStats;

@@ -232,37 +232,37 @@ impl JobSpec {
                 "workloads".to_string(),
                 Json::Arr(self.workloads.iter().cloned().map(Json::Str).collect()),
             ),
-            ("max_iter".to_string(), Json::Num(self.max_iter as f64)),
-            ("batch".to_string(), Json::Num(self.batch as f64)),
-            ("b_max".to_string(), Json::Num(self.b_max as f64)),
+            ("max_iter".to_string(), Json::U64(self.max_iter as u64)),
+            ("batch".to_string(), Json::U64(self.batch as u64)),
+            ("b_max".to_string(), Json::U64(self.b_max)),
             (
                 "candidate_pool".to_string(),
-                Json::Num(self.candidate_pool as f64),
+                Json::U64(self.candidate_pool as u64),
             ),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
+            ("seed".to_string(), Json::U64(self.seed)),
             (
                 "max_layers_per_network".to_string(),
-                Json::Num(self.max_layers_per_network as f64),
+                Json::U64(self.max_layers_per_network as u64),
             ),
             (
                 "checkpoint_every".to_string(),
-                Json::Num(self.checkpoint_every as f64),
+                Json::U64(self.checkpoint_every as u64),
             ),
         ];
         if let Some(p) = self.power_cap_mw {
-            fields.push(("power_cap_mw".to_string(), Json::Num(p)));
+            fields.push(("power_cap_mw".to_string(), Json::F64(p)));
         }
         if let Some(a) = self.area_cap_mm2 {
-            fields.push(("area_cap_mm2".to_string(), Json::Num(a)));
+            fields.push(("area_cap_mm2".to_string(), Json::F64(a)));
         }
         if let Some(k) = self.kill_after {
-            fields.push(("kill_after".to_string(), Json::Num(k as f64)));
+            fields.push(("kill_after".to_string(), Json::U64(k as u64)));
         }
         if !self.tenant.is_empty() {
             fields.push(("tenant".to_string(), Json::Str(self.tenant.clone())));
         }
         if let Some(w) = self.engine_workers {
-            fields.push(("engine_workers".to_string(), Json::Num(w as f64)));
+            fields.push(("engine_workers".to_string(), Json::U64(w as u64)));
         }
         if let Some(g) = &self.graph {
             fields.push(("graph".to_string(), Json::Str(g.clone())));
@@ -496,6 +496,28 @@ mod tests {
         assert_eq!(spec.kill_after, None);
         let cfg = spec.unico_config();
         assert_eq!((cfg.max_iter, cfg.batch, cfg.b_max), (3, 6, 32));
+    }
+
+    /// Seeds past 2^53 (where a double starts rounding) survive the
+    /// manifest and cluster-wire round trip exactly; one past `u64::MAX`
+    /// is rejected rather than truncated.
+    #[test]
+    fn large_seeds_round_trip_exactly() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let body = format!(
+                r#"{{"platform": "spatial-edge", "workloads": ["mobilenet"], "seed": {seed}}}"#
+            );
+            let spec = parse_submission(body.as_bytes()).expect("valid");
+            assert_eq!(spec.seed, seed);
+            let rendered = spec.to_json().to_string();
+            assert!(rendered.contains(&format!("\"seed\":{seed}")), "{rendered}");
+            let back = parse_submission(rendered.as_bytes()).expect("re-parses");
+            assert_eq!(back.seed, seed);
+            assert_eq!(back, spec);
+        }
+        let body = r#"{"platform": "spatial-edge", "workloads": ["mobilenet"], "seed": 18446744073709551616}"#;
+        let err = parse_submission(body.as_bytes()).expect_err("seed overflows u64");
+        assert!(err.contains("seed"), "{err}");
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! mapping searchers consume [`LoopNest`]s, so any operator that can be
 //! lowered to the canonical `(N, K, C, Y, X, R, S)` nest is supported.
 //!
+//! The crate also hosts [`json`], the workspace's one JSON codec: it is
+//! the dependency-free leaf that every crate reading or writing JSON
+//! already depends on.
+//!
 //! # Example
 //!
 //! ```
@@ -28,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod frontend;
+pub mod json;
 mod layer;
 mod nest;
 mod network;
