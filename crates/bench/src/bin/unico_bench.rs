@@ -17,22 +17,24 @@
 //! and, on the surrogate:
 //!
 //! * full hyper-search GP refits vs incremental Cholesky row-append
-//!   fits at several training-set sizes.
+//!   fits at several training-set sizes;
+//! * one kriging-believer acquisition batch (`select_batch`, pool 256,
+//!   22 picks) at the same training-set sizes.
 //!
 //! Output is a single JSON artifact (default `BENCH_batch_eval.json`,
 //! override with `--out <file>`), schema
 //! `unico.bench.batch_eval.v1`: `{"schema", "entries": [{"name",
 //! "metric", "value"}, ...]}` with throughputs in candidates/s, fit
-//! times in seconds, and derived speedup ratios. The scalar columns
-//! measure the shipped `UNICO_BATCH_EVAL=0` path, which keeps the
-//! pre-batch per-candidate shape (materialized canonical key, one lock
-//! per lookup), so the ratios are an honest before/after. CI runs the
-//! binary in release and asserts the JSON parses with non-empty
-//! entries; the acceptance floors (batched >= 2x scalar warm-cache and
-//! contended throughput, incremental >= 5x faster than full fits at
-//! n >= 64) are asserted at commit time, not per CI run, so a noisy
-//! runner cannot flake the build — the binary only warns on stderr if
-//! a floor is missed.
+//! and acquisition times in seconds, and derived speedup ratios. The
+//! scalar columns measure the shipped `UNICO_BATCH_EVAL=0` path, which
+//! keeps the pre-batch per-candidate shape (materialized canonical key,
+//! one lock per lookup), so the ratios are an honest before/after. CI
+//! runs the binary in release and asserts the JSON parses with
+//! non-empty entries; the acceptance floors (batched >= 2x scalar
+//! warm-cache and contended throughput, incremental >= 5x faster than
+//! full fits at n >= 64) are asserted at commit time, not per CI run,
+//! so a noisy runner cannot flake the build — the binary only warns on
+//! stderr if a floor is missed.
 
 use std::time::Duration;
 
@@ -42,11 +44,18 @@ use rand::{Rng, SeedableRng};
 use unico_bench::microbench::MicroBench;
 use unico_mapping::{Mapping, MappingSpace};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
-use unico_surrogate::{GaussianProcess, KernelKind};
+use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, KernelKind};
 use unico_workloads::TensorOp;
 
 /// Candidates per measured batch — the scale of one SH cohort.
 const BATCH: usize = 256;
+
+/// Acquisition candidate pool (`UnicoConfig::candidate_pool` default).
+const ACQ_POOL: usize = 256;
+
+/// Model-guided picks per acquisition batch: batch 30 less its
+/// `ceil(30 * 0.25)` random picks.
+const ACQ_PICKS: usize = 22;
 
 /// One benchmark result destined for the JSON artifact.
 struct Entry {
@@ -270,6 +279,34 @@ fn bench_gp(b: &mut MicroBench, entries: &mut Vec<Entry>) {
                  acceptance floor"
             );
         }
+
+        // Acquisition: one kriging-believer batch over the fitted GP, in
+        // the `outer-loop-resume` shape (pool 256, batch 30 minus 8
+        // random picks). The clone is part of the cost: `select_batch`
+        // consumes the GP it hallucinates into.
+        // Its own seed: `rng`'s state depends on how often the timed
+        // fits above ran.
+        let mut acq_rng = StdRng::seed_from_u64(13);
+        let mut gp = GaussianProcess::new(KernelKind::Matern52, 6);
+        gp.fit(&xs, &ys, &mut acq_rng).expect("acquisition fit");
+        let pool: Vec<Vec<f64>> = (0..ACQ_POOL)
+            .map(|_| (0..6).map(|_| acq_rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let best = ys.iter().copied().fold(f64::INFINITY, f64::min);
+        let row = b.run(&format!("acquisition/select_batch/{n}"), || {
+            select_batch(
+                gp.clone(),
+                &pool,
+                best,
+                AcquisitionKind::ExpectedImprovement,
+                ACQ_PICKS,
+            )
+        });
+        entries.push(entry(
+            format!("acquisition/select_batch/n{n}"),
+            "seconds",
+            row.median_ns * 1e-9,
+        ));
     }
 }
 

@@ -289,7 +289,8 @@ pub fn fnv1a(name: &str) -> u64 {
 }
 
 /// Runs `cases` deterministic cases of a property. Used by the
-/// [`proptest!`] macro; not intended to be called directly.
+/// [`proptest!`] macro; call it directly only when a test must also
+/// assert something across all cases (e.g. that a rare branch was hit).
 pub fn run_property<V>(
     test_name: &str,
     config: &ProptestConfig,

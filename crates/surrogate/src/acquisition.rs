@@ -1,6 +1,6 @@
 //! Acquisition functions and kriging-believer batch selection.
 
-use crate::gp::GaussianProcess;
+use crate::gp::{GaussianProcess, PosteriorMemo};
 
 /// Which acquisition function batch selection maximizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,38 +78,42 @@ pub fn select_batch(
 ) -> Vec<usize> {
     assert!(!pool.is_empty(), "empty candidate pool");
     assert!(batch > 0, "batch must be positive");
-    let mut chosen: Vec<usize> = Vec::with_capacity(batch);
-    // Kernel rows k(candidate, training point) are memoized across
-    // kriging-believer rounds: each hallucination adds exactly one
-    // training point, so a candidate's row only grows by its evaluation
-    // against that point instead of being rebuilt from scratch — the
-    // prediction bits are unchanged.
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); pool.len()];
-    for _ in 0..batch.min(pool.len()) {
-        let mut best_idx = None;
+    let picks = batch.min(pool.len());
+    let mut chosen: Vec<usize> = Vec::with_capacity(picks);
+    // Each candidate's kernel row and forward solve are memoized across
+    // kriging-believer rounds: a hallucination appends one row to the
+    // factor, so a memo grows by one entry per pick instead of being
+    // re-solved in O(n²) — the prediction bits are unchanged.
+    let capacity = gp.len() + picks;
+    let mut memos: Vec<PosteriorMemo> = (0..pool.len())
+        .map(|_| PosteriorMemo::with_capacity(capacity))
+        .collect();
+    loop {
+        let mut best_pick = None;
         let mut best_score = f64::NEG_INFINITY;
-        for (i, x) in pool.iter().enumerate() {
+        for (i, (x, memo)) in pool.iter().zip(&mut memos).enumerate() {
             if chosen.contains(&i) {
                 continue;
             }
-            gp.extend_kernel_row(x, &mut rows[i]);
-            let (mean, var) = gp.predict_prepared(x, &rows[i]);
+            let (mean, var) = gp.predict_memoized(x, memo);
             let score = match kind {
                 AcquisitionKind::ExpectedImprovement => expected_improvement(mean, var, best),
                 AcquisitionKind::LowerConfidenceBound { beta } => ucb(mean, var, beta),
             };
             if score > best_score {
                 best_score = score;
-                best_idx = Some(i);
+                best_pick = Some((i, mean));
             }
         }
-        let idx = best_idx.expect("pool larger than chosen set");
+        let (idx, mean) = best_pick.expect("pool larger than chosen set");
         chosen.push(idx);
-        let (mean, _) = gp.predict_prepared(&pool[idx], &rows[idx]);
-        // A failed hallucination only degrades batch diversity; keep going.
+        if chosen.len() == picks {
+            return chosen;
+        }
+        // A failed hallucination leaves the GP unchanged and only
+        // degrades batch diversity; keep going.
         let _ = gp.hallucinate(pool[idx].clone(), mean);
     }
-    chosen
 }
 
 #[cfg(test)]

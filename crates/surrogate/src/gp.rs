@@ -62,6 +62,38 @@ pub struct GaussianProcess {
     y_std: f64,
     chol: Option<Matrix>,
     alpha: Vec<f64>,
+    /// Factor epoch: bumped whenever the factor is rebuilt from scratch
+    /// (never by a row append), so a [`PosteriorMemo`] can tell whether
+    /// it still matches the factor's leading rows.
+    epoch: u64,
+}
+
+/// Memoized posterior state of one query point across a growing GP:
+/// the kernel row `k(X, x)` and the forward solve `v = L⁻¹ k`, as used
+/// by [`GaussianProcess::predict_memoized`].
+///
+/// Kriging-believer batch selection queries every pool candidate once
+/// per pick while each pick appends one hallucinated row to the factor.
+/// Appends leave the earlier rows of `L` untouched, so a memo only needs
+/// one new kernel entry and one new solve entry per pick. A memo belongs
+/// to one query point and one GP (or the clone it hallucinates into).
+#[derive(Debug, Clone, Default)]
+pub struct PosteriorMemo {
+    row: Vec<f64>,
+    v: Vec<f64>,
+    epoch: u64,
+}
+
+impl PosteriorMemo {
+    /// An empty memo whose buffers hold `n` training points without
+    /// reallocating.
+    pub fn with_capacity(n: usize) -> Self {
+        PosteriorMemo {
+            row: Vec::with_capacity(n),
+            v: Vec::with_capacity(n),
+            epoch: 0,
+        }
+    }
 }
 
 impl GaussianProcess {
@@ -78,6 +110,7 @@ impl GaussianProcess {
             y_std: 1.0,
             chol: None,
             alpha: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -116,8 +149,11 @@ impl GaussianProcess {
     }
 
     /// Full factorization of the current `(x, kernel, noise)` state with
-    /// jitter escalation, recomputing `alpha` against `y_norm`.
+    /// jitter escalation, recomputing `alpha` against `y_norm`. Starts a
+    /// new factor epoch; the factor, `alpha` and noise change only on
+    /// success.
     fn refactor(&mut self) -> Result<(), GpError> {
+        self.epoch += 1;
         let mut jitter = self.noise;
         for _ in 0..8 {
             let k = self.kernel_matrix(&self.kernel, jitter);
@@ -324,31 +360,28 @@ impl GaussianProcess {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let kx: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-        self.predict_prepared(x, &kx)
+        self.predict_memoized(x, &mut PosteriorMemo::with_capacity(self.len()))
     }
 
-    /// Extends a memoized kernel row in place, appending
-    /// `k(self.x[i], x)` for the training points `row.len()..self.len()`
-    /// absorbed since the row was last extended. Starting from an empty
-    /// row this builds exactly the vector [`GaussianProcess::predict`]
-    /// computes internally; across kriging-believer rounds only the one
-    /// newly hallucinated point per round is evaluated.
-    pub fn extend_kernel_row(&self, x: &[f64], row: &mut Vec<f64>) {
-        for xi in &self.x[row.len()..] {
-            row.push(self.kernel.eval(xi, x));
-        }
-    }
-
-    /// [`GaussianProcess::predict`] with a precomputed kernel row (as
-    /// grown by [`GaussianProcess::extend_kernel_row`]): skips the O(n)
-    /// kernel evaluations, bit-identical result.
+    /// [`GaussianProcess::predict`] through a memo carried across calls
+    /// at the same `x`: extends the memo's kernel row and forward solve
+    /// to the current training set and returns the posterior, bitwise
+    /// identical to `predict(x)`.
+    ///
+    /// New solve entries are computed by [`Matrix::solve_lower_extend`],
+    /// i.e. in exactly the row order of a full solve, and a row append
+    /// leaves the factor's earlier rows unchanged — so after `m` appended
+    /// points (`hallucinate`, `fit_incremental`) the memo costs O(m·n)
+    /// instead of a fresh O(n²) solve. When the factor was rebuilt since
+    /// the memo's last use (a new epoch: a refit, whose kernel or points
+    /// may differ, or a jitter-ladder fallback), the memo starts over.
+    /// The mean and `Σv²` are recomputed over the whole row in the same
+    /// iterator order as always.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.dim()` or the row is stale (shorter
-    /// than the training set of a fitted GP).
-    pub fn predict_prepared(&self, x: &[f64], row: &[f64]) -> (f64, f64) {
+    /// Panics if `x.len() != self.dim()`.
+    pub fn predict_memoized(&self, x: &[f64], memo: &mut PosteriorMemo) -> (f64, f64) {
         assert_eq!(x.len(), self.dim, "prediction dimension mismatch");
         let Some(l) = &self.chol else {
             return (
@@ -356,11 +389,19 @@ impl GaussianProcess {
                 self.kernel.variance() * self.y_std * self.y_std,
             );
         };
-        assert_eq!(row.len(), self.x.len(), "stale kernel row");
-        let mean_norm: f64 = row.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
-        let v = l.solve_lower(row);
-        let var_norm =
-            (self.kernel.eval(x, x) + self.noise - v.iter().map(|u| u * u).sum::<f64>()).max(0.0);
+        if memo.epoch != self.epoch {
+            memo.row.clear();
+            memo.v.clear();
+            memo.epoch = self.epoch;
+        }
+        for xi in &self.x[memo.row.len()..] {
+            memo.row.push(self.kernel.eval(xi, x));
+        }
+        l.solve_lower_extend(&memo.row, &mut memo.v);
+        let mean_norm: f64 = memo.row.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
+        let var_norm = (self.kernel.eval(x, x) + self.noise
+            - memo.v.iter().map(|u| u * u).sum::<f64>())
+        .max(0.0);
         (
             mean_norm * self.y_std + self.y_mean,
             var_norm * self.y_std * self.y_std,
@@ -380,7 +421,8 @@ impl GaussianProcess {
     /// # Errors
     ///
     /// Returns an error if the augmented kernel matrix cannot be
-    /// factorized.
+    /// factorized. The GP is then exactly as before the call: training
+    /// set, targets, factor, `alpha`, noise and epoch are unchanged.
     pub fn hallucinate(&mut self, x: Vec<f64>, y: f64) -> Result<(), GpError> {
         if x.len() != self.dim {
             return Err(GpError::DimensionMismatch {
@@ -405,11 +447,17 @@ impl GaussianProcess {
             self.alpha = alpha;
             return Ok(());
         }
-        self.refactor().map_err(|_| {
-            GpError::Factorization(LinalgError::NotPositiveDefinite {
-                pivot: self.x.len() - 1,
-            })
-        })
+        let epoch = self.epoch;
+        if self.refactor().is_err() {
+            // The failed ladder committed nothing; drop the point too.
+            self.x.pop();
+            self.y_norm.pop();
+            self.epoch = epoch;
+            return Err(GpError::Factorization(LinalgError::NotPositiveDefinite {
+                pivot: self.x.len(),
+            }));
+        }
+        Ok(())
     }
 }
 
@@ -505,5 +553,50 @@ mod tests {
         gp.hallucinate(vec![0.5], 1.0).unwrap();
         let (_, v_after) = gp.predict(&[0.5]);
         assert!(v_after < v_before, "hallucination should reduce variance");
+    }
+
+    #[test]
+    fn failed_hallucination_leaves_gp_unchanged() {
+        let xs = vec![vec![0.2], vec![0.8], vec![0.5]];
+        let ys = vec![1.0, 0.4, 0.7];
+        let mut gp = GaussianProcess::new(KernelKind::Matern52, 1);
+        gp.fit(&xs, &ys, &mut rng()).unwrap();
+        let before = gp.clone();
+        let (m, v) = gp.predict(&[0.3]);
+
+        assert!(gp.hallucinate(vec![f64::NAN], 0.0).is_err());
+
+        assert_eq!(gp.len(), 3);
+        assert_eq!(gp.x, before.x);
+        assert_eq!(gp.y_norm, before.y_norm);
+        assert_eq!(gp.chol, before.chol);
+        assert_eq!(gp.alpha, before.alpha);
+        assert_eq!(gp.noise.to_bits(), before.noise.to_bits());
+        assert_eq!(gp.epoch, before.epoch);
+        let (m2, v2) = gp.predict(&[0.3]);
+        assert_eq!(m2.to_bits(), m.to_bits());
+        assert_eq!(v2.to_bits(), v.to_bits());
+    }
+
+    #[test]
+    fn memo_survives_appends_and_refits_bitwise() {
+        let xs = vec![vec![0.1], vec![0.45], vec![0.9]];
+        let ys = vec![0.3, 1.0, 0.2];
+        let mut gp = GaussianProcess::new(KernelKind::Matern52, 1);
+        gp.fit_with_hypers(&xs, &ys, 0.3, 1.0, 1e-4).unwrap();
+        let q = [0.6];
+        let mut memo = PosteriorMemo::default();
+        let check = |gp: &GaussianProcess, memo: &mut PosteriorMemo| {
+            let (m, v) = gp.predict_memoized(&q, memo);
+            let (fm, fv) = gp.predict(&q);
+            assert_eq!((m.to_bits(), v.to_bits()), (fm.to_bits(), fv.to_bits()));
+        };
+        check(&gp, &mut memo);
+        gp.hallucinate(vec![0.3], 0.5).unwrap();
+        check(&gp, &mut memo);
+        // A refit on other data and hypers must not reuse the old row.
+        gp.fit_with_hypers(&[vec![0.7], vec![0.2]], &[1.0, 0.0], 0.8, 2.0, 1e-2)
+            .unwrap();
+        check(&gp, &mut memo);
     }
 }

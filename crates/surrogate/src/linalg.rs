@@ -111,18 +111,34 @@ impl Matrix {
     ///
     /// Panics on dimension mismatch.
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = Vec::with_capacity(self.rows);
+        self.solve_lower_extend(b, &mut x);
+        x
+    }
+
+    /// Resumes forward substitution: given `x` solving the leading
+    /// `x.len()` rows of `L x = b`, appends the remaining entries. Rows
+    /// are computed in the same order from any starting length, so the
+    /// result is bitwise identical to one [`Matrix::solve_lower`] call —
+    /// which lets a caller whose factor only ever grows by appended rows
+    /// keep its solve and pay O(n) per new row instead of O(n²).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or if `x` is longer than `L`.
+    pub fn solve_lower_extend(&self, b: &[f64], x: &mut Vec<f64>) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.len(), self.rows, "solve_lower dimension mismatch");
+        assert!(x.len() <= self.rows, "solve_lower_extend: stale solution");
         let n = self.rows;
-        let mut x = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self[(i, k)] * x[k];
+        for (i, &bi) in b.iter().enumerate().skip(x.len()) {
+            let row = &self.data[i * n..i * n + i];
+            let mut sum = bi;
+            for (l, xk) in row.iter().zip(x.iter()) {
+                sum -= l * xk;
             }
-            x[i] = sum / self[(i, i)];
+            x.push(sum / self.data[i * n + i]);
         }
-        x
     }
 
     /// Solves `Lᵀ x = b` for lower-triangular `L` (backward substitution
@@ -412,6 +428,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn extended_solve_survives_row_append_bitwise() {
+        let mut l = spd3().cholesky().unwrap();
+        let b = [1.0, -2.0, 0.5, 0.7];
+        let mut x = Vec::new();
+        l.solve_lower_extend(&b[..3], &mut x);
+        l.cholesky_append_row(&[0.3, 0.2, 0.9], 2.5).unwrap();
+        l.solve_lower_extend(&b, &mut x);
+        let scratch = l.solve_lower(&b);
+        let bits = |v: &[f64]| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&scratch));
     }
 
     #[test]
