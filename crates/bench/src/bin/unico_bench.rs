@@ -14,21 +14,28 @@
 //!   pass was designed for: one lock acquisition and one counter flush
 //!   per shard per cohort instead of one per candidate);
 //!
+//! on the cycle-level Ascend-like simulator:
+//!
+//! * one uncached call (the expensive oracle whose cost the evaluation
+//!   cache amortizes);
+//!
 //! and, on the surrogate:
 //!
 //! * full hyper-search GP refits vs incremental Cholesky row-append
 //!   fits at several training-set sizes;
 //! * one kriging-believer acquisition batch (`select_batch`, pool 256,
-//!   22 picks) at the same training-set sizes.
+//!   22 picks) at the same training-set sizes;
+//! * one exact hypervolume of 30 uniform points in 4-D.
 //!
 //! Output is a single JSON artifact (default `BENCH_batch_eval.json`,
 //! override with `--out <file>`), schema
 //! `unico.bench.batch_eval.v1`: `{"schema", "entries": [{"name",
 //! "metric", "value"}, ...]}` with throughputs in candidates/s, fit
 //! and acquisition times in seconds, and derived speedup ratios. The
-//! scalar columns measure the shipped `UNICO_BATCH_EVAL=0` path, which
-//! keeps the pre-batch per-candidate shape (materialized canonical key,
-//! one lock per lookup), so the ratios are an honest before/after. CI
+//! scalar columns time the per-candidate `MappingCost::assess` loop
+//! that annealing runs on, which keeps the pre-batch shape
+//! (materialized canonical key, one lock per lookup), so the ratios are
+//! an honest before/after. CI
 //! runs the binary in release and asserts the JSON parses with
 //! non-empty entries; the acceptance floors (batched >= 2x scalar
 //! warm-cache and contended throughput, incremental >= 5x faster than
@@ -42,8 +49,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use unico_bench::microbench::MicroBench;
+use unico_camodel::{AscendConfig, AscendModel, DepthFirstFusionSearch};
 use unico_mapping::{Mapping, MappingSpace};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
+use unico_surrogate::hypervolume::hypervolume;
 use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, KernelKind};
 use unico_workloads::TensorOp;
 
@@ -108,25 +117,21 @@ fn bench_eval(b: &mut MicroBench, entries: &mut Vec<Entry>) {
 
     // Warm cache: pre-populate once, then every measured pass hits.
     for cached in [true, false] {
-        let setup = |batch_eval: bool| {
-            let p = SpatialPlatform::edge().with_batch_eval(batch_eval);
-            if cached {
-                let cache = std::sync::Arc::new(EvalCache::new());
-                let warm = p.with_eval_cache(std::sync::Arc::clone(&cache));
-                let _ = warm.evaluate_batch(&hw, &nest, &mappings);
-                warm
-            } else {
-                p
-            }
+        let p = SpatialPlatform::edge();
+        let p = if cached {
+            let warm = p.with_eval_cache(std::sync::Arc::new(EvalCache::new()));
+            let _ = warm.evaluate_batch(&hw, &nest, &mappings);
+            warm
+        } else {
+            p
         };
         let regime = if cached { "warm_cache" } else { "uncached" };
+        let cost = p.bind(&hw, &nest);
 
-        let scalar_p = setup(false);
-        let scalar_cost = scalar_p.bind(&hw, &nest);
         let row = b.run(&format!("eval/{regime}/scalar"), || {
             mappings
                 .iter()
-                .map(|m| scalar_cost.assess(m).is_some() as u64)
+                .map(|m| cost.assess(m).is_some() as u64)
                 .sum::<u64>()
         });
         let scalar_tp = throughput(row.median_ns);
@@ -136,11 +141,8 @@ fn bench_eval(b: &mut MicroBench, entries: &mut Vec<Entry>) {
             scalar_tp,
         ));
 
-        let batch_p = setup(true);
-        let batch_cost = batch_p.bind(&hw, &nest);
         let row = b.run(&format!("eval/{regime}/batched"), || {
-            batch_cost
-                .assess_batch(&mappings)
+            cost.assess_batch(&mappings)
                 .iter()
                 .map(|o| o.is_some() as u64)
                 .sum::<u64>()
@@ -181,9 +183,7 @@ fn bench_eval_contended(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     let mut tp = [0.0f64; 2];
     for batched in [false, true] {
         let cache = std::sync::Arc::new(EvalCache::new());
-        let p = SpatialPlatform::edge()
-            .with_batch_eval(batched)
-            .with_eval_cache(std::sync::Arc::clone(&cache));
+        let p = SpatialPlatform::edge().with_eval_cache(std::sync::Arc::clone(&cache));
         let _ = p.evaluate_batch(&hw, &nest, &mappings);
         let cost = p.bind(&hw, &nest);
         let mode = if batched { "batched" } else { "scalar" };
@@ -230,6 +230,34 @@ fn bench_eval_contended(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     if speedup < 2.0 {
         eprintln!("WARNING: contended batched speedup {speedup:.2}x below the 2x acceptance floor");
     }
+}
+
+/// One uncached cycle-level Ascend-like evaluation of a 64×64 3×3 conv
+/// at 28×28 on the expert-default core with the depth-first seed
+/// mapping: the per-call price the evaluation cache exists to avoid.
+fn bench_ascend(b: &mut MicroBench, entries: &mut Vec<Entry>) {
+    let nest = TensorOp::Conv2d {
+        n: 1,
+        k: 64,
+        c: 64,
+        y: 28,
+        x: 28,
+        r: 3,
+        s: 3,
+        stride: 1,
+    }
+    .to_loop_nest();
+    let model = AscendModel::default();
+    let hw = AscendConfig::expert_default();
+    let mapping = DepthFirstFusionSearch::seed_mapping(&hw, &nest);
+    let row = b.run("eval/ascend/uncached", || {
+        model.evaluate(&hw, &mapping, &nest).expect("feasible")
+    });
+    entries.push(entry(
+        "eval/ascend/uncached",
+        "seconds",
+        row.median_ns * 1e-9,
+    ));
 }
 
 fn bench_gp(b: &mut MicroBench, entries: &mut Vec<Entry>) {
@@ -310,6 +338,21 @@ fn bench_gp(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     }
 }
 
+/// Exact hypervolume of 30 uniform points in the unit 4-cube against
+/// reference `1.1` per axis (the points are redrawn from seed 2 each
+/// run, so the front is fixed).
+fn bench_hypervolume(b: &mut MicroBench, entries: &mut Vec<Entry>) {
+    const D: usize = 4;
+    const N: usize = 30;
+    let mut rng = StdRng::seed_from_u64(2);
+    let pts: Vec<Vec<f64>> = (0..N)
+        .map(|_| (0..D).map(|_| rng.gen_range(0.0..1.0)).collect())
+        .collect();
+    let reference = vec![1.1; D];
+    let row = b.run("hypervolume/4d/n30", || hypervolume(&pts, &reference));
+    entries.push(entry("hypervolume/4d/n30", "seconds", row.median_ns * 1e-9));
+}
+
 fn render_json(entries: &[Entry]) -> String {
     let mut o = String::from("{\"schema\":\"unico.bench.batch_eval.v1\",\"entries\":[");
     for (i, e) in entries.iter().enumerate() {
@@ -343,7 +386,9 @@ fn main() {
     let mut b = MicroBench::with_budget(Duration::from_millis(10), 8);
     bench_eval(&mut b, &mut entries);
     bench_eval_contended(&mut b, &mut entries);
+    bench_ascend(&mut b, &mut entries);
     bench_gp(&mut b, &mut entries);
+    bench_hypervolume(&mut b, &mut entries);
 
     println!("\n{}", b.to_markdown());
     unico_bench::write_file(std::path::Path::new(&out), &render_json(&entries));

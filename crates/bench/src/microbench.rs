@@ -1,10 +1,10 @@
 //! A dependency-free wall-clock micro-benchmark harness.
 //!
-//! The offline build cannot resolve `criterion`, so the `benches/`
-//! targets measure with this harness instead: warm up, calibrate an
-//! iteration count so one sample takes a few milliseconds, then take a
-//! fixed number of samples and report min/median/mean nanoseconds per
-//! iteration. Results render as a markdown table (stdout) and CSV.
+//! The offline build cannot resolve `criterion`, so `unico_bench`
+//! measures with this harness instead: warm up, calibrate an iteration
+//! count so one sample reaches a time budget, then take a fixed number
+//! of samples and report min/median/mean nanoseconds per iteration.
+//! Results render as a markdown table (stdout).
 //!
 //! Use [`std::hint::black_box`] around inputs/outputs the optimizer
 //! must not fold away.
@@ -29,7 +29,7 @@ pub struct BenchRow {
 }
 
 /// Harness collecting [`BenchRow`]s.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MicroBench {
     rows: Vec<BenchRow>,
     target_sample: Duration,
@@ -37,17 +37,8 @@ pub struct MicroBench {
 }
 
 impl MicroBench {
-    /// A harness with the default budget (~5 ms per sample, 12 samples).
-    pub fn new() -> Self {
-        MicroBench {
-            rows: Vec::new(),
-            target_sample: Duration::from_millis(5),
-            samples: 12,
-        }
-    }
-
-    /// Overrides the per-sample time budget and sample count (for slow
-    /// benchmarks where the default would take too long).
+    /// A harness with the given per-sample time budget and sample count
+    /// (at least 3).
     pub fn with_budget(target_sample: Duration, samples: usize) -> Self {
         MicroBench {
             rows: Vec::new(),
@@ -108,11 +99,6 @@ impl MicroBench {
         self.rows.last().expect("row just pushed")
     }
 
-    /// All rows measured so far.
-    pub fn rows(&self) -> &[BenchRow] {
-        &self.rows
-    }
-
     /// Renders the rows as a markdown table.
     pub fn to_markdown(&self) -> String {
         let mut out = String::from("| benchmark | median/iter | min/iter | mean/iter |\n");
@@ -124,18 +110,6 @@ impl MicroBench {
                 fmt_ns(r.median_ns),
                 fmt_ns(r.min_ns),
                 fmt_ns(r.mean_ns)
-            ));
-        }
-        out
-    }
-
-    /// Renders the rows as CSV (nanoseconds, machine-readable).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("benchmark,iters,samples,min_ns,median_ns,mean_ns\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                r.name, r.iters, r.samples, r.min_ns, r.median_ns, r.mean_ns
             ));
         }
         out
@@ -168,9 +142,6 @@ mod tests {
         assert!(row.min_ns <= row.median_ns);
         let md = b.to_markdown();
         assert!(md.contains("| spin |"));
-        let csv = b.to_csv();
-        assert!(csv.starts_with("benchmark,iters"));
-        assert!(csv.lines().count() == 2);
     }
 
     #[test]

@@ -14,36 +14,17 @@ use crate::sim::{AscendModel, BoundAscendCost};
 
 /// The Ascend-like co-design platform: cycle-level simulator + enumerated
 /// design space + depth-first fusion mapping search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AscendPlatform {
     model: AscendModel,
     space: AscendSpace,
     cache: Option<Arc<EvalCache>>,
-    batch_eval: bool,
-}
-
-impl Default for AscendPlatform {
-    fn default() -> Self {
-        AscendPlatform {
-            model: AscendModel::default(),
-            space: AscendSpace::default(),
-            cache: None,
-            batch_eval: unico_model::batch_eval_from_env(),
-        }
-    }
 }
 
 impl AscendPlatform {
     /// Creates the platform with default technology constants and space.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the batched cache-lookup toggle (the constructor reads
-    /// `UNICO_BATCH_EVAL`; see `unico_model::batch_eval_from_env`).
-    pub fn with_batch_eval(mut self, enabled: bool) -> Self {
-        self.batch_eval = enabled;
-        self
     }
 
     /// Attaches an evaluation cache; every bound cost memoizes through
@@ -106,11 +87,7 @@ impl Platform for AscendPlatform {
         hw: &AscendConfig,
         nest: &LoopNest,
     ) -> Box<dyn MappingCost + Send + Sync + 'a> {
-        Box::new(
-            BoundAscendCost::new(&self.model, *hw, *nest)
-                .with_cache(self.cache.as_deref())
-                .with_batch_eval(self.batch_eval),
-        )
+        Box::new(BoundAscendCost::new(&self.model, *hw, *nest).with_cache(self.cache.as_deref()))
     }
 
     fn make_searcher(

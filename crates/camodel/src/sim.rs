@@ -327,7 +327,6 @@ pub struct BoundAscendCost<'a> {
     hw: AscendConfig,
     nest: LoopNest,
     cache: Option<&'a EvalCache>,
-    batch_eval: bool,
 }
 
 impl<'a> BoundAscendCost<'a> {
@@ -338,20 +337,12 @@ impl<'a> BoundAscendCost<'a> {
             hw,
             nest,
             cache: None,
-            batch_eval: true,
         }
     }
 
     /// Memoizes evaluations in `cache`.
     pub fn with_cache(mut self, cache: Option<&'a EvalCache>) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Enables or disables the batched cache path (`true` by default;
-    /// see `UNICO_BATCH_EVAL`).
-    pub fn with_batch_eval(mut self, enabled: bool) -> Self {
-        self.batch_eval = enabled;
         self
     }
 
@@ -424,7 +415,7 @@ impl MappingCost for BoundAscendCost<'_> {
     }
 
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        let Some(cache) = self.cache.filter(|_| self.batch_eval) else {
+        let Some(cache) = self.cache else {
             // Without a cache there is nothing to amortize for the cycle
             // model (it reads the Mapping struct directly), so fall back
             // to the scalar loop — bitwise the same by definition.

@@ -466,7 +466,6 @@ pub struct BoundSpatialCost<'a> {
     eval_cost_s: f64,
     objective: MappingObjective,
     cache: Option<&'a EvalCache>,
-    batch_eval: bool,
 }
 
 impl<'a> BoundSpatialCost<'a> {
@@ -481,7 +480,6 @@ impl<'a> BoundSpatialCost<'a> {
             eval_cost_s,
             objective: MappingObjective::Latency,
             cache: None,
-            batch_eval: true,
         }
     }
 
@@ -495,14 +493,6 @@ impl<'a> BoundSpatialCost<'a> {
     /// so semantically equivalent candidates share entries).
     pub fn with_cache(mut self, cache: Option<&'a EvalCache>) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Enables or disables the structure-of-arrays batch path (the
-    /// `UNICO_BATCH_EVAL` bisection toggle); when disabled,
-    /// `assess_batch` loops the scalar path.
-    pub fn with_batch_eval(mut self, enabled: bool) -> Self {
-        self.batch_eval = enabled;
         self
     }
 
@@ -529,8 +519,8 @@ impl MappingCost for BoundSpatialCost<'_> {
     }
 
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        if !self.batch_eval || mappings.is_empty() {
-            return mappings.iter().map(|m| self.assess(m)).collect();
+        if mappings.is_empty() {
+            return Vec::new();
         }
         let area = self.model.area_mm2(&self.hw);
         let macs = self.nest.macs() as f64;

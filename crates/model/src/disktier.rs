@@ -44,7 +44,7 @@ use crate::evalcache::{
 };
 
 /// Entries buffered per shard before an automatic segment flush.
-const DEFAULT_FLUSH_THRESHOLD: usize = 256;
+const FLUSH_THRESHOLD: usize = 256;
 
 /// Aggregated disk-tier counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,7 +89,6 @@ struct DiskShard {
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
-    flush_threshold: usize,
     /// Distinguishes segment names when several instances share one
     /// process (in-process worker fleets in tests and examples).
     instance: u64,
@@ -125,7 +124,6 @@ impl DiskTier {
         }
         let tier = DiskTier {
             dir,
-            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             instance: INSTANCE.fetch_add(1, Ordering::Relaxed),
             seq: AtomicU64::new(0),
             shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
@@ -139,15 +137,6 @@ impl DiskTier {
         };
         tier.refresh()?;
         Ok(tier)
-    }
-
-    /// Sets the per-shard pending-entry count that triggers an
-    /// automatic segment flush (callers can still [`DiskTier::flush`]
-    /// explicitly at job boundaries).
-    #[must_use]
-    pub fn with_flush_threshold(mut self, n: usize) -> Self {
-        self.flush_threshold = n.max(1);
-        self
     }
 
     /// The root directory of the tier.
@@ -244,7 +233,7 @@ impl DiskTier {
             }
             shard.index.insert(key, value);
             shard.pending.push((key, value));
-            shard.pending.len() >= self.flush_threshold
+            shard.pending.len() >= FLUSH_THRESHOLD
         };
         if flush_now {
             self.flush_shard(s);

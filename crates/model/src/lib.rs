@@ -68,7 +68,7 @@ pub use fused::{
 };
 pub use hw::{Dataflow, HwConfig, HwSpace};
 pub use loopcentric::{BoundLoopCentricCost, LevelBreakdown, LevelStats, LoopCentricModel};
-pub use platform::{batch_eval_from_env, MappingTool, Platform, PpaEngine, SpatialPlatform};
+pub use platform::{MappingTool, Platform, PpaEngine, SpatialPlatform};
 pub use ppa::{EvalError, Ppa};
 pub use relaxed::{relaxed_eval, relaxed_eval_with, RelaxedDiag, Rounding};
 pub use tech::TechParams;

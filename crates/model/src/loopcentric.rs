@@ -361,7 +361,6 @@ pub struct BoundLoopCentricCost<'a> {
     eval_cost_s: f64,
     objective: MappingObjective,
     cache: Option<&'a EvalCache>,
-    batch_eval: bool,
 }
 
 impl<'a> BoundLoopCentricCost<'a> {
@@ -379,7 +378,6 @@ impl<'a> BoundLoopCentricCost<'a> {
             eval_cost_s,
             objective: MappingObjective::Latency,
             cache: None,
-            batch_eval: true,
         }
     }
 
@@ -392,13 +390,6 @@ impl<'a> BoundLoopCentricCost<'a> {
     /// Memoizes evaluations in `cache`.
     pub fn with_cache(mut self, cache: Option<&'a EvalCache>) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Enables or disables the structure-of-arrays batch path (the
-    /// `UNICO_BATCH_EVAL` bisection toggle).
-    pub fn with_batch_eval(mut self, enabled: bool) -> Self {
-        self.batch_eval = enabled;
         self
     }
 
@@ -425,8 +416,8 @@ impl MappingCost for BoundLoopCentricCost<'_> {
     }
 
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        if !self.batch_eval || mappings.is_empty() {
-            return mappings.iter().map(|m| self.assess(m)).collect();
+        if mappings.is_empty() {
+            return Vec::new();
         }
         let area = self.model.area_mm2(&self.hw);
         let macs = self.nest.macs() as f64;

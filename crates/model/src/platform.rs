@@ -128,25 +128,6 @@ pub trait Platform: Sync {
     }
 }
 
-/// Reads the `UNICO_BATCH_EVAL` toggle: `"1"` (or unset) enables the
-/// structure-of-arrays batch evaluation path, `"0"` forces the scalar
-/// per-candidate path (for bisecting batch-vs-scalar divergence — the
-/// two are bitwise identical by construction, so this is a debugging
-/// lever, not a semantics switch).
-///
-/// # Panics
-///
-/// Panics on any other value: a typo silently flipping the evaluation
-/// path would defeat the point of the toggle.
-pub fn batch_eval_from_env() -> bool {
-    match std::env::var("UNICO_BATCH_EVAL") {
-        Ok(v) if v == "1" => true,
-        Ok(v) if v == "0" => false,
-        Ok(v) => panic!("UNICO_BATCH_EVAL must be \"0\" or \"1\", got {v:?}"),
-        Err(_) => true,
-    }
-}
-
 /// Which analytical PPA engine backs the platform (the paper names both
 /// MAESTRO and TimeLoop as interchangeable prototyping engines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,14 +164,15 @@ pub struct SpatialPlatform {
     name: String,
     model: AnalyticalModel,
     space: HwSpace,
-    eval_cost_s: f64,
     tool: MappingTool,
     objective: MappingObjective,
     engine: PpaEngine,
     loop_centric: LoopCentricModel,
     cache: Option<Arc<EvalCache>>,
-    batch_eval: bool,
 }
+
+/// Simulated wall-clock seconds charged per spatial-platform evaluation.
+const EVAL_COST_S: f64 = 1.0;
 
 impl SpatialPlatform {
     /// The edge scenario (power-constrained small configurations).
@@ -199,13 +181,11 @@ impl SpatialPlatform {
             name: "spatial-edge".to_string(),
             model: AnalyticalModel::new(TechParams::default()),
             space: HwSpace::edge(),
-            eval_cost_s: 1.0,
             tool: MappingTool::Annealing,
             objective: MappingObjective::Latency,
             engine: PpaEngine::DataCentric,
             loop_centric: LoopCentricModel::new(TechParams::default()),
             cache: None,
-            batch_eval: batch_eval_from_env(),
         }
     }
 
@@ -215,20 +195,12 @@ impl SpatialPlatform {
             name: "spatial-cloud".to_string(),
             model: AnalyticalModel::new(TechParams::cloud()),
             space: HwSpace::cloud(),
-            eval_cost_s: 1.0,
             tool: MappingTool::Annealing,
             objective: MappingObjective::Latency,
             engine: PpaEngine::DataCentric,
             loop_centric: LoopCentricModel::new(TechParams::cloud()),
             cache: None,
-            batch_eval: batch_eval_from_env(),
         }
-    }
-
-    /// Overrides the simulated per-evaluation cost.
-    pub fn with_eval_cost(mut self, seconds: f64) -> Self {
-        self.eval_cost_s = seconds;
-        self
     }
 
     /// Selects the software-mapping search tool.
@@ -254,19 +226,6 @@ impl SpatialPlatform {
     pub fn with_eval_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Overrides the batch-evaluation toggle (the constructors read
-    /// [`batch_eval_from_env`]). `false` forces every bound cost onto
-    /// the scalar per-candidate path.
-    pub fn with_batch_eval(mut self, enabled: bool) -> Self {
-        self.batch_eval = enabled;
-        self
-    }
-
-    /// Whether bound costs use the structure-of-arrays batch path.
-    pub fn batch_eval(&self) -> bool {
-        self.batch_eval
     }
 
     /// The configured PPA engine.
@@ -333,16 +292,14 @@ impl Platform for SpatialPlatform {
         let cache = self.cache.as_deref();
         match self.engine {
             PpaEngine::DataCentric => Box::new(
-                BoundSpatialCost::new(&self.model, *hw, *nest, self.eval_cost_s)
+                BoundSpatialCost::new(&self.model, *hw, *nest, EVAL_COST_S)
                     .with_objective(self.objective)
-                    .with_cache(cache)
-                    .with_batch_eval(self.batch_eval),
+                    .with_cache(cache),
             ),
             PpaEngine::LoopCentric => Box::new(
-                BoundLoopCentricCost::new(&self.loop_centric, *hw, *nest, self.eval_cost_s)
+                BoundLoopCentricCost::new(&self.loop_centric, *hw, *nest, EVAL_COST_S)
                     .with_objective(self.objective)
-                    .with_cache(cache)
-                    .with_batch_eval(self.batch_eval),
+                    .with_cache(cache),
             ),
         }
     }
@@ -366,7 +323,7 @@ impl Platform for SpatialPlatform {
     }
 
     fn eval_cost_seconds(&self) -> f64 {
-        self.eval_cost_s
+        EVAL_COST_S
     }
 
     fn describe(&self, hw: &HwConfig) -> String {
@@ -575,40 +532,25 @@ mod tests {
         }
         .to_loop_nest();
         for engine in [PpaEngine::DataCentric, PpaEngine::LoopCentric] {
-            for batch_on in [true, false] {
-                let p = SpatialPlatform::edge()
-                    .with_engine(engine)
-                    .with_batch_eval(batch_on);
-                assert_eq!(p.batch_eval(), batch_on);
-                let mut rng = StdRng::seed_from_u64(41);
-                let hw = p.sample_hw(&mut rng);
-                let space = MappingSpace::new(&nest);
-                let mappings: Vec<_> = (0..24).map(|_| space.sample(&mut rng)).collect();
-                let batched = p.evaluate_batch(&hw, &nest, &mappings);
-                let cost = p.bind(&hw, &nest);
-                for (m, b) in mappings.iter().zip(&batched) {
-                    let s = cost.assess(m);
-                    match (s, b) {
-                        (None, None) => {}
-                        (Some(s), Some(b)) => {
-                            assert_eq!(s.loss.to_bits(), b.loss.to_bits());
-                            assert_eq!(s.latency_s.to_bits(), b.latency_s.to_bits());
-                            assert_eq!(s.power_mw.to_bits(), b.power_mw.to_bits());
-                        }
-                        (s, b) => panic!("feasibility diverged: scalar {s:?} batch {b:?}"),
+            let p = SpatialPlatform::edge().with_engine(engine);
+            let mut rng = StdRng::seed_from_u64(41);
+            let hw = p.sample_hw(&mut rng);
+            let space = MappingSpace::new(&nest);
+            let mappings: Vec<_> = (0..24).map(|_| space.sample(&mut rng)).collect();
+            let batched = p.evaluate_batch(&hw, &nest, &mappings);
+            let cost = p.bind(&hw, &nest);
+            for (m, b) in mappings.iter().zip(&batched) {
+                let s = cost.assess(m);
+                match (s, b) {
+                    (None, None) => {}
+                    (Some(s), Some(b)) => {
+                        assert_eq!(s.loss.to_bits(), b.loss.to_bits());
+                        assert_eq!(s.latency_s.to_bits(), b.latency_s.to_bits());
+                        assert_eq!(s.power_mw.to_bits(), b.power_mw.to_bits());
                     }
+                    (s, b) => panic!("feasibility diverged: scalar {s:?} batch {b:?}"),
                 }
             }
         }
-    }
-
-    #[test]
-    fn eval_cost_override() {
-        let p = SpatialPlatform::edge().with_eval_cost(3.5);
-        assert_eq!(p.eval_cost_seconds(), 3.5);
-        let nest = TensorOp::Gemm { m: 8, n: 8, k: 8 }.to_loop_nest();
-        let mut rng = StdRng::seed_from_u64(2);
-        let hw = p.sample_hw(&mut rng);
-        assert_eq!(p.bind(&hw, &nest).eval_cost_seconds(), 3.5);
     }
 }

@@ -14,7 +14,9 @@
 //!   and on repeat passes that are served from the cache;
 //! * the cache's hit/miss/eviction counters advance **exactly** as they
 //!   do on the scalar path — batching changes lock traffic, never
-//!   accounting.
+//!   accounting;
+//! * both caches end with byte-identical traces, so the batched key
+//!   builders write exactly the scalar keys' bytes.
 
 use std::sync::Arc;
 
@@ -107,28 +109,28 @@ fn assert_bitwise(
 }
 
 /// Runs the differential over `n_configs` sampled configs of one
-/// platform family. `make(batch_eval, cache)` builds the platform; the
-/// scalar twin and the batch twin get separate caches so their counters
+/// platform family. `make(cache)` builds the platform; the scalar twin
+/// (scored through `bind().assess()`) and the batch twin (scored through
+/// `evaluate_batch`) get separate caches so their counters and traces
 /// can be compared at the end.
 fn run_differential<P: Platform>(
-    make: impl Fn(bool, Option<Arc<EvalCache>>) -> P,
+    make: impl Fn(Option<Arc<EvalCache>>) -> P,
     family: &str,
     seed: u64,
     n_configs: usize,
 ) {
     // Phase 1: no cache attached — pure compute-path identity.
     {
-        let scalar_p = make(false, None);
-        let batch_p = make(true, None);
+        let p = make(None);
         let mut rng = StdRng::seed_from_u64(seed);
         for (ni, nest) in grid().iter().enumerate() {
             for ci in 0..n_configs {
-                let hw = scalar_p.sample_hw(&mut rng);
+                let hw = p.sample_hw(&mut rng);
                 let mappings = candidates(nest, &mut rng);
                 let label = format!("{family} uncached nest {ni} config {ci}");
-                let cost = scalar_p.bind(&hw, nest);
+                let cost = p.bind(&hw, nest);
                 let scalar: Vec<_> = mappings.iter().map(|m| cost.assess(m)).collect();
-                let batched = batch_p.evaluate_batch(&hw, nest, &mappings);
+                let batched = p.evaluate_batch(&hw, nest, &mappings);
                 assert_bitwise(&scalar, &batched, &label);
             }
         }
@@ -138,8 +140,8 @@ fn run_differential<P: Platform>(
     // passes, and the two caches must end with identical counters.
     let scalar_cache = Arc::new(EvalCache::new());
     let batch_cache = Arc::new(EvalCache::new());
-    let scalar_p = make(false, Some(scalar_cache.clone()));
-    let batch_p = make(true, Some(batch_cache.clone()));
+    let scalar_p = make(Some(scalar_cache.clone()));
+    let batch_p = make(Some(batch_cache.clone()));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut feasible = 0usize;
     let mut infeasible = 0usize;
@@ -195,6 +197,14 @@ fn run_differential<P: Platform>(
         bb.keys,
         s.hits + s.misses,
         "{family}: every key resolved must flow through the batched lookups"
+    );
+    // The batched key builders (hw+nest prefix plus per-mapping hash)
+    // must write the same key bytes as the scalar per-candidate keys:
+    // equal counters alone cannot catch a key that differs consistently.
+    assert_eq!(
+        scalar_cache.to_trace(),
+        batch_cache.to_trace(),
+        "{family}: batched cache keys or results diverged from the scalar path"
     );
 }
 
@@ -452,10 +462,8 @@ fn generic_core_matches_prerefactor_reference_bitwise() {
 #[test]
 fn analytical_data_centric_batch_matches_scalar() {
     run_differential(
-        |batch, cache| {
-            let p = SpatialPlatform::edge()
-                .with_engine(PpaEngine::DataCentric)
-                .with_batch_eval(batch);
+        |cache| {
+            let p = SpatialPlatform::edge().with_engine(PpaEngine::DataCentric);
             match cache {
                 Some(c) => p.with_eval_cache(c),
                 None => p,
@@ -470,10 +478,8 @@ fn analytical_data_centric_batch_matches_scalar() {
 #[test]
 fn analytical_loop_centric_batch_matches_scalar() {
     run_differential(
-        |batch, cache| {
-            let p = SpatialPlatform::edge()
-                .with_engine(PpaEngine::LoopCentric)
-                .with_batch_eval(batch);
+        |cache| {
+            let p = SpatialPlatform::edge().with_engine(PpaEngine::LoopCentric);
             match cache {
                 Some(c) => p.with_eval_cache(c),
                 None => p,
@@ -488,8 +494,8 @@ fn analytical_loop_centric_batch_matches_scalar() {
 #[test]
 fn ascend_cycle_level_batch_matches_scalar() {
     run_differential(
-        |batch, cache| {
-            let p = AscendPlatform::new().with_batch_eval(batch);
+        |cache| {
+            let p = AscendPlatform::new();
             match cache {
                 Some(c) => p.with_eval_cache(c),
                 None => p,
@@ -504,8 +510,8 @@ fn ascend_cycle_level_batch_matches_scalar() {
 #[test]
 fn cloud_platform_batch_matches_scalar() {
     run_differential(
-        |batch, cache| {
-            let p = SpatialPlatform::cloud().with_batch_eval(batch);
+        |cache| {
+            let p = SpatialPlatform::cloud();
             match cache {
                 Some(c) => p.with_eval_cache(c),
                 None => p,

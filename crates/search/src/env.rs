@@ -511,9 +511,10 @@ fn geometric_mean(values: &[f64]) -> f64 {
 /// Advances the selected sessions to `budget` in parallel (one thread
 /// per session — the paper's per-job multiprocessing).
 ///
-/// This is the *transient* path: it spawns one scoped thread per
-/// selected session and joins them before returning. Steady-state
-/// callers should prefer [`crate::advance_with_engine`] on a persistent
+/// It spawns one scoped thread per selected session and joins them
+/// before returning. [`evaluate_batch`] uses it for one-shot batches
+/// (NSGA-II, HASCO, the experiments); successive-halving rounds go
+/// through [`crate::advance_with_engine`] on a persistent
 /// [`crate::MappingEngine`] instead.
 pub fn advance_parallel<P: Platform>(
     sessions: &mut [HwSession<'_, P>],

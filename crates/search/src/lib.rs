@@ -49,7 +49,7 @@ pub use fault::{FaultContext, FaultKind, FaultPlan, RetryPolicy};
 pub use hasco::{run_hasco, HascoConfig};
 pub use hyperband::{run_hyperband, HyperbandConfig};
 pub use nsga2::{run_nsga2, Nsga2Config};
-pub use pool::{advance_pooled, advance_with_engine, advance_with_engine_faulted, ComputeTopology};
+pub use pool::{advance_with_engine, ComputeTopology};
 pub use telemetry::{
     CacheReport, CheckpointReport, Counter, FaultReport, RunReport, Telemetry, TelemetrySnapshot,
 };

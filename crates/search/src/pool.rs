@@ -1,21 +1,14 @@
 //! Bounded execution of software-mapping jobs (the paper's §3.5
 //! master/slave execution model, Fig. 6).
 //!
-//! Two paths advance a batch of [`HwSession`]s:
-//!
-//! * [`advance_with_engine`] — the steady-state path: jobs are queued on
-//!   a persistent [`MappingEngine`] whose workers were spawned once for
-//!   the whole co-search. A job that panics is contained and its
-//!   session is poisoned (assessed infeasible) instead of aborting the
-//!   run.
-//! * [`advance_pooled`] — the transient path kept for one-shot callers
-//!   and as the respawn-per-call baseline the pool-setup benchmark
-//!   compares against: it spawns at most `workers` scoped threads,
-//!   drains the batch through an atomic cursor, and joins them before
-//!   returning.
+//! [`advance_with_engine`] advances a batch of [`HwSession`]s on a
+//! persistent [`MappingEngine`] whose workers were spawned once for the
+//! whole co-search. A job that panics is contained and its session is
+//! poisoned (assessed infeasible) instead of aborting the run. An
+//! optional [`FaultContext`] injects deterministic faults and applies
+//! bounded retry to them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use unico_model::Platform;
@@ -30,40 +23,14 @@ use crate::telemetry::{Counter, Telemetry};
 /// Each selected session becomes one queued job. A panicking job is
 /// contained by the worker and additionally marks its session as
 /// poisoned (see [`HwSession::poison`]), so the batch and the enclosing
-/// run keep going. Returns the number of contained panics.
+/// run keep going. Returns the number of worker panics the engine
+/// contained.
 ///
-/// # Panics
-///
-/// Panics if the mask length mismatches.
-pub fn advance_with_engine<P: Platform>(
-    engine: &MappingEngine,
-    sessions: &mut [HwSession<'_, P>],
-    select: &[bool],
-    budget: u64,
-) -> u64
-where
-    P::Hw: Send,
-{
-    assert_eq!(sessions.len(), select.len(), "selection mask length");
-    let jobs: Vec<ScopedJob<'_>> = sessions
-        .iter_mut()
-        .zip(select)
-        .filter(|&(_, &on)| on)
-        .map(|(session, _)| {
-            Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| session.advance_to(budget)));
-                if outcome.is_err() {
-                    session.poison();
-                }
-            }) as ScopedJob<'_>
-        })
-        .collect();
-    engine.execute(jobs)
-}
-
-/// Fault-aware variant of [`advance_with_engine`]: consults `ctx`'s
-/// [`FaultPlan`](crate::fault::FaultPlan) per *(batch, session,
-/// attempt)* site and applies bounded retry-with-backoff.
+/// With `faults` set, the advance claims the context's next batch
+/// index, consults its [`FaultPlan`](crate::fault::FaultPlan) per
+/// *(batch, session, attempt)* site and applies bounded
+/// retry-with-backoff. With `None` no site is faulted: the batch runs
+/// as one engine execution and no fault counter is booked.
 ///
 /// Semantics per injected [`FaultKind`]:
 ///
@@ -85,25 +52,25 @@ where
 /// Counters recorded into `telemetry`: `faults_injected`,
 /// `fault_errors` / `fault_panics` / `fault_stalls`, `fault_retries`
 /// (one per retried session per attempt) and `fault_quarantines`.
-/// Returns the number of worker panics the engine contained.
 ///
 /// # Panics
 ///
 /// Panics if the mask length mismatches.
-pub fn advance_with_engine_faulted<P: Platform>(
+pub fn advance_with_engine<P: Platform>(
     engine: &MappingEngine,
     sessions: &mut [HwSession<'_, P>],
     select: &[bool],
     budget: u64,
-    ctx: &FaultContext,
+    faults: Option<&FaultContext>,
     telemetry: &Telemetry,
 ) -> u64
 where
     P::Hw: Send,
 {
     assert_eq!(sessions.len(), select.len(), "selection mask length");
-    let batch = ctx.next_batch();
-    let policy = ctx.policy();
+    let site = faults.map(|ctx| (ctx, ctx.next_batch()));
+    let batch = site.map_or(0, |(_, batch)| batch);
+    let policy = faults.map(FaultContext::policy).unwrap_or_default();
     let stall_fails = policy.stall_misses_deadline();
     // Selected sessions keep their stable index in `sessions` across
     // retry attempts — fault sites are addressed by that index.
@@ -119,7 +86,7 @@ where
     loop {
         let decisions: Vec<Option<FaultKind>> = pending
             .iter()
-            .map(|(i, _)| ctx.plan().fault_at(batch, *i, attempt))
+            .map(|(i, _)| site.and_then(|(ctx, batch)| ctx.plan().fault_at(batch, *i, attempt)))
             .collect();
         for d in decisions.iter().flatten() {
             telemetry.add(Counter::FaultsInjected, 1);
@@ -206,61 +173,6 @@ where
     contained
 }
 
-/// Advances the selected sessions to `budget` using at most `workers`
-/// concurrent threads (work-stealing over an atomic cursor).
-///
-/// Spawns and joins threads on every call; prefer
-/// [`advance_with_engine`] in loops.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`, if the mask length mismatches, or if a
-/// worker thread panics.
-pub fn advance_pooled<P: Platform>(
-    sessions: &mut [HwSession<'_, P>],
-    select: &[bool],
-    budget: u64,
-    workers: usize,
-) where
-    P::Hw: Send,
-{
-    assert!(workers > 0, "worker pool needs at least one worker");
-    assert_eq!(sessions.len(), select.len(), "selection mask length");
-    // Collect the selected sessions as independent &mut cells the
-    // workers can claim through an atomic cursor.
-    let queue: Vec<std::sync::Mutex<&mut HwSession<'_, P>>> = sessions
-        .iter_mut()
-        .zip(select)
-        .filter_map(|(s, &on)| {
-            if on {
-                Some(std::sync::Mutex::new(s))
-            } else {
-                None
-            }
-        })
-        .collect();
-    if queue.is_empty() {
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let n_workers = workers.min(queue.len());
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= queue.len() {
-                    break;
-                }
-                // Exactly one worker reaches each index, so the lock is
-                // always immediately available; it exists to satisfy
-                // aliasing rules, not for contention.
-                let mut session = queue[i].lock().expect("unshared session slot");
-                session.advance_to(budget);
-            });
-        }
-    });
-}
-
 /// A reusable handle describing the compute topology of a deployment:
 /// how many mapping-search workers ("slaves") the master may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,28 +236,19 @@ mod tests {
     }
 
     #[test]
-    fn pooled_advance_reaches_budget_for_all_selected() {
-        let p = SpatialPlatform::edge();
-        let e = env(&p);
-        for workers in [1usize, 2, 7, 32] {
-            let mut ss = sessions(&e, 9);
-            let select: Vec<bool> = (0..9).map(|i| i % 3 != 1).collect();
-            advance_pooled(&mut ss, &select, 25, workers);
-            for (s, &on) in ss.iter().zip(&select) {
-                assert_eq!(s.spent(), if on { 25 } else { 0 }, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn engine_advance_reaches_budget_for_all_selected() {
         let p = SpatialPlatform::edge();
         let e = env(&p);
         let engine = MappingEngine::new(4);
         let mut ss = sessions(&e, 9);
         let select: Vec<bool> = (0..9).map(|i| i % 3 != 1).collect();
-        let panics = advance_with_engine(&engine, &mut ss, &select, 25);
+        let telemetry = Telemetry::new();
+        let panics = advance_with_engine(&engine, &mut ss, &select, 25, None, &telemetry);
         assert_eq!(panics, 0);
+        assert!(
+            telemetry.snapshot().is_empty(),
+            "a fault-free advance books no fault counters"
+        );
         for (s, &on) in ss.iter().zip(&select) {
             assert_eq!(s.spent(), if on { 25 } else { 0 });
             assert!(!s.is_poisoned());
@@ -360,8 +263,9 @@ mod tests {
         let mut ss = sessions(&e, 6);
         let select = vec![true; 6];
         // Successive-halving-like doubling rounds on one engine.
+        let telemetry = Telemetry::new();
         for budget in [8u64, 16, 32, 64] {
-            advance_with_engine(&engine, &mut ss, &select, budget);
+            advance_with_engine(&engine, &mut ss, &select, budget, None, &telemetry);
         }
         assert!(ss.iter().all(|s| s.spent() == 64));
         let m = engine.metrics();
@@ -371,27 +275,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_pooled_and_unbounded_results() {
+    fn engine_matches_unbounded_results() {
         let p = SpatialPlatform::edge();
         let e = env(&p);
         // Same seeds -> identical searcher streams regardless of which
         // worker runs them.
         let mut a = sessions(&e, 6);
-        let mut b = sessions(&e, 6);
         let mut c = sessions(&e, 6);
         let select = vec![true; 6];
         let engine = MappingEngine::new(2);
-        advance_with_engine(&engine, &mut a, &select, 40);
-        advance_pooled(&mut b, &select, 40, 2);
+        advance_with_engine(&engine, &mut a, &select, 40, None, &Telemetry::new());
         crate::env::advance_parallel(&mut c, &select, 40);
-        for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-            assert_eq!(x.spent(), y.spent());
+        for (x, z) in a.iter().zip(&c) {
             assert_eq!(x.spent(), z.spent());
-            assert_eq!(
-                x.assess().map(|v| v.latency_s),
-                y.assess().map(|v| v.latency_s),
-                "engine and pooled execution must be deterministic-equal"
-            );
             assert_eq!(
                 x.assess().map(|v| v.latency_s),
                 z.assess().map(|v| v.latency_s),
@@ -405,19 +301,10 @@ mod tests {
         let p = SpatialPlatform::edge();
         let e = env(&p);
         let mut ss = sessions(&e, 3);
-        advance_pooled(&mut ss, &[false, false, false], 10, 4);
         let engine = MappingEngine::new(2);
-        advance_with_engine(&engine, &mut ss, &[false, false, false], 10);
+        let none = [false, false, false];
+        advance_with_engine(&engine, &mut ss, &none, 10, None, &Telemetry::new());
         assert!(ss.iter().all(|s| s.spent() == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let p = SpatialPlatform::edge();
-        let e = env(&p);
-        let mut ss = sessions(&e, 1);
-        advance_pooled(&mut ss, &[true], 10, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use unico_model::Platform;
 use crate::engine::MappingEngine;
 use crate::env::HwSession;
 use crate::fault::FaultContext;
-use crate::pool::{advance_with_engine, advance_with_engine_faulted};
+use crate::pool::advance_with_engine;
 use crate::telemetry::{Counter, Telemetry};
 
 /// Configuration of a successive-halving run.
@@ -109,7 +109,7 @@ where
 
 /// [`run_with_engine`] with an optional deterministic fault-injection
 /// context: every round's advance goes through
-/// [`advance_with_engine_faulted`], which retries transient failures and
+/// [`advance_with_engine`], which retries transient failures and
 /// quarantines sessions that exhaust their retries. Poisoned sessions
 /// stay in the candidate set but assess as infeasible, so promotion
 /// naturally drops them.
@@ -143,12 +143,8 @@ where
     for j in 1..=rounds {
         let budget = (cfg.b_max >> (rounds - j)).max(cfg.min_budget).max(1);
         round_budgets.push(budget);
-        contained_panics += match faults {
-            Some(ctx) => {
-                advance_with_engine_faulted(engine, sessions, &alive, budget, ctx, telemetry)
-            }
-            None => advance_with_engine(engine, sessions, &alive, budget),
-        };
+        contained_panics +=
+            advance_with_engine(engine, sessions, &alive, budget, faults, telemetry);
         telemetry.add(Counter::ShRounds, 1);
         if j == rounds {
             break;

@@ -218,69 +218,6 @@ impl Matrix {
         self.data = grown;
         Ok(())
     }
-
-    /// Rank-1 **update** of a Cholesky factor: given `L` with
-    /// `L Lᵀ = A`, rewrites it in place to the factor of `A + v vᵀ` in
-    /// O(n²) (hyperbolic-rotation sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor is not square or `v.len() != n`.
-    pub fn cholesky_rank1_update(&mut self, v: &[f64]) {
-        assert_eq!(self.rows, self.cols, "rank1 update needs square L");
-        let n = self.rows;
-        assert_eq!(v.len(), n, "rank1 update vector length mismatch");
-        let mut x = v.to_vec();
-        for k in 0..n {
-            let lkk = self[(k, k)];
-            let r = (lkk * lkk + x[k] * x[k]).sqrt();
-            let c = r / lkk;
-            let s = x[k] / lkk;
-            self[(k, k)] = r;
-            for i in k + 1..n {
-                let lik = (self[(i, k)] + s * x[i]) / c;
-                x[i] = c * x[i] - s * lik;
-                self[(i, k)] = lik;
-            }
-        }
-    }
-
-    /// Rank-1 **downdate** of a Cholesky factor: given `L` with
-    /// `L Lᵀ = A`, rewrites it in place to the factor of `A − v vᵀ` in
-    /// O(n²).
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(LinalgError::NotPositiveDefinite)` (and leaves the
-    /// factor partially modified) if `A − v vᵀ` is not positive
-    /// definite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor is not square or `v.len() != n`.
-    pub fn cholesky_rank1_downdate(&mut self, v: &[f64]) -> Result<(), LinalgError> {
-        assert_eq!(self.rows, self.cols, "rank1 downdate needs square L");
-        let n = self.rows;
-        assert_eq!(v.len(), n, "rank1 downdate vector length mismatch");
-        let mut x = v.to_vec();
-        for k in 0..n {
-            let lkk = self[(k, k)];
-            let r2 = lkk * lkk - x[k] * x[k];
-            if r2 <= 0.0 || !r2.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: k });
-            }
-            let r = r2.sqrt();
-            let c = r / lkk;
-            let s = x[k] / lkk;
-            self[(k, k)] = r;
-            for i in k + 1..n {
-                let lik = (self[(i, k)] - s * x[i]) / c;
-                x[i] = c * x[i] - s * lik;
-                self[(i, k)] = lik;
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -318,17 +255,6 @@ impl fmt::Display for LinalgError {
 }
 
 impl std::error::Error for LinalgError {}
-
-/// Euclidean dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm.
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
 
 #[cfg(test)]
 mod tests {
@@ -395,12 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_rows_panic() {
         let _ = Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
@@ -449,47 +369,5 @@ mod tests {
         // Diagonal too small for the new column: Schur complement < 0.
         let err = l.cholesky_append_row(&[2.0, 2.0, 1.0], 0.1).unwrap_err();
         assert_eq!(err, LinalgError::NotPositiveDefinite { pivot: 3 });
-    }
-
-    #[test]
-    fn rank1_update_matches_explicit_sum() {
-        let a = spd3();
-        let v = [0.7, -0.4, 0.2];
-        let mut l = a.cholesky().unwrap();
-        l.cholesky_rank1_update(&v);
-        for i in 0..3 {
-            for j in 0..3 {
-                let mut got = 0.0;
-                for k in 0..3 {
-                    got += l[(i, k)] * l[(j, k)];
-                }
-                let want = a[(i, j)] + v[i] * v[j];
-                assert!((got - want).abs() < 1e-10, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn rank1_downdate_inverts_update() {
-        let a = spd3();
-        let v = [0.7, -0.4, 0.2];
-        let reference = a.cholesky().unwrap();
-        let mut l = reference.clone();
-        l.cholesky_rank1_update(&v);
-        l.cholesky_rank1_downdate(&v).unwrap();
-        for i in 0..3 {
-            for j in 0..=i {
-                assert!((l[(i, j)] - reference[(i, j)]).abs() < 1e-9, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn rank1_downdate_rejects_indefinite_result() {
-        let mut l = Matrix::identity(2).cholesky().unwrap();
-        assert!(matches!(
-            l.cholesky_rank1_downdate(&[2.0, 0.0]),
-            Err(LinalgError::NotPositiveDefinite { pivot: 0 })
-        ));
     }
 }

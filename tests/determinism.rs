@@ -206,65 +206,56 @@ fn resume_from_committed_checkpoint_reproduces_smoke_run() {
     assert_eq!(cache.to_trace(), reference_cache.to_trace());
 }
 
-/// The batch evaluation path is a locking/layout optimization, not a
-/// semantics change: forcing the scalar per-candidate path (the
-/// `UNICO_BATCH_EVAL=0` bisection lever) must reproduce the batched
-/// smoke run bit-for-bit — same front bits, same cache trace, same
-/// hit/miss accounting. Only the batch-lookup counters may differ
-/// (the scalar twin books none).
-#[test]
-fn scalar_path_reproduces_batched_run_bitwise() {
-    // The genetic mapping tool scores whole GA cohorts through
-    // `assess_batch` (annealing stays scalar by design — its RNG is
-    // conditioned on each step's outcome), so it exercises the batched
-    // cache entry point end-to-end.
-    let run = |cache: Arc<EvalCache>, batch_eval: bool| {
-        let platform = SpatialPlatform::edge()
-            .with_mapping_tool(unico_model::MappingTool::Genetic)
-            .with_eval_cache(cache)
-            .with_batch_eval(batch_eval);
-        let nets = [zoo::mobilenet_v1()];
-        let env = edge_env(&platform, &nets);
-        Unico::new(smoke_cfg(7)).run(&env)
-    };
-    let batched_cache = Arc::new(EvalCache::new());
-    let batched = run(Arc::clone(&batched_cache), true);
-    let scalar_cache = Arc::new(EvalCache::new());
-    let scalar = run(Arc::clone(&scalar_cache), false);
-
-    assert_eq!(
-        front_bits(&batched),
-        front_bits(&scalar),
-        "scalar-path front diverged from the batched front"
-    );
-    assert_eq!(
-        batched_cache.to_trace(),
-        scalar_cache.to_trace(),
-        "scalar-path evaluation stream diverged from the batched stream"
-    );
-    assert_eq!(batched_cache.stats().hits, scalar_cache.stats().hits);
-    assert_eq!(batched_cache.stats().misses, scalar_cache.stats().misses);
-    // The batched run actually took the batched entry point; the scalar
-    // run never did.
-    assert!(batched_cache.batch_stats().lookups > 0);
-    assert_eq!(scalar_cache.batch_stats().lookups, 0);
+/// Runs the smoke configuration through the genetic mapping tool,
+/// which scores whole GA cohorts through `assess_batch` (annealing
+/// stays scalar by design — its RNG is conditioned on each step's
+/// outcome), so it exercises the batched evaluation path end to end.
+fn genetic_smoke_run(cache: Option<Arc<EvalCache>>) -> UnicoResult<unico_model::HwConfig> {
+    let mut platform = SpatialPlatform::edge().with_mapping_tool(unico_model::MappingTool::Genetic);
+    if let Some(cache) = cache {
+        platform = platform.with_eval_cache(cache);
+    }
+    let nets = [zoo::mobilenet_v1()];
+    let env = edge_env(&platform, &nets);
+    Unico::new(smoke_cfg(7)).run(&env)
 }
 
-/// `UNICO_BATCH_EVAL` is read at platform construction: `0` forces the
-/// scalar path, `1` and unset select the batched path. (Flipping the
-/// variable mid-test is benign for concurrent tests — the two paths are
-/// bitwise identical by construction, which is the point of the lever.)
+/// Two same-seed genetic-tool runs on fresh caches are byte-identical —
+/// same front bits, same cache trace, same hit/miss accounting — and
+/// both actually took the batched cache entry point.
 #[test]
-fn batch_eval_env_toggle_forces_scalar_path() {
-    std::env::set_var("UNICO_BATCH_EVAL", "0");
-    let forced_off = SpatialPlatform::edge();
-    std::env::set_var("UNICO_BATCH_EVAL", "1");
-    let forced_on = SpatialPlatform::edge();
-    std::env::remove_var("UNICO_BATCH_EVAL");
-    let default = SpatialPlatform::edge();
-    assert!(!forced_off.batch_eval());
-    assert!(forced_on.batch_eval());
-    assert!(default.batch_eval(), "unset must select the batched path");
+fn genetic_batched_runs_are_deterministic_and_booked() {
+    let cache_a = Arc::new(EvalCache::new());
+    let a = genetic_smoke_run(Some(Arc::clone(&cache_a)));
+    let cache_b = Arc::new(EvalCache::new());
+    let b = genetic_smoke_run(Some(Arc::clone(&cache_b)));
+
+    assert_eq!(front_bits(&a), front_bits(&b));
+    assert_eq!(a.report.deterministic_json(), b.report.deterministic_json());
+    assert_eq!(cache_a.to_trace(), cache_b.to_trace());
+    assert_eq!(cache_a.stats().hits, cache_b.stats().hits);
+    assert_eq!(cache_a.stats().misses, cache_b.stats().misses);
+    assert!(cache_a.batch_stats().lookups > 0);
+    assert_eq!(cache_a.batch_stats().lookups, cache_b.batch_stats().lookups);
+}
+
+/// The evaluation cache is memoization, not a semantics change: the
+/// batched path with no cache attached (one SoA batch per call, every
+/// row computed) reproduces the cached batched run bit-for-bit.
+#[test]
+fn uncached_batched_run_reproduces_cached_run_bitwise() {
+    let cache = Arc::new(EvalCache::new());
+    let cached = genetic_smoke_run(Some(Arc::clone(&cache)));
+    let uncached = genetic_smoke_run(None);
+
+    assert_eq!(
+        front_bits(&cached),
+        front_bits(&uncached),
+        "uncached front diverged from the cached front"
+    );
+    assert_eq!(cached.evaluations.len(), uncached.evaluations.len());
+    assert!(cache.stats().misses > 0);
+    assert!(cache.batch_stats().lookups > 0);
 }
 
 /// Incremental GP refits are deterministic and actually exercised: two
