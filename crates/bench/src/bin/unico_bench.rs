@@ -21,6 +21,8 @@
 //!
 //! and, on the surrogate:
 //!
+//! * one Cholesky factorization of a 167-point Matérn-5/2 kernel matrix
+//!   in 6-D (the factorization alone, without the kernel build);
 //! * full hyper-search GP refits vs incremental Cholesky row-append
 //!   fits at several training-set sizes;
 //! * one kriging-believer acquisition batch (`select_batch`, pool 256,
@@ -53,7 +55,8 @@ use unico_camodel::{AscendConfig, AscendModel, DepthFirstFusionSearch};
 use unico_mapping::{Mapping, MappingSpace};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
 use unico_surrogate::hypervolume::hypervolume;
-use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, KernelKind};
+use unico_surrogate::linalg::Matrix;
+use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, Kernel, KernelKind};
 use unico_workloads::TensorOp;
 
 /// Candidates per measured batch — the scale of one SH cohort.
@@ -260,6 +263,35 @@ fn bench_ascend(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     ));
 }
 
+/// One factorization of a Matérn-5/2 kernel matrix over 167 uniform
+/// points in the unit 6-cube (length scale 0.4, noise `1e-4`): the
+/// kernel built once outside the timed loop, so the entry tracks the
+/// factorization apart from the `exp`-bound kernel evaluations.
+fn bench_cholesky(b: &mut MicroBench, entries: &mut Vec<Entry>) {
+    const N: usize = 167;
+    let mut rng = StdRng::seed_from_u64(17);
+    let xs: Vec<Vec<f64>> = (0..N)
+        .map(|_| (0..6).map(|_| rng.gen_range(0.0..1.0)).collect())
+        .collect();
+    let kernel = Kernel::new(KernelKind::Matern52, 0.4, 1.0);
+    let rows: Vec<Vec<f64>> = xs
+        .iter()
+        .map(|xi| xs.iter().map(|xj| kernel.eval(xi, xj)).collect())
+        .collect();
+    let mut k = Matrix::from_rows(&rows);
+    for i in 0..N {
+        k[(i, i)] += 1e-4;
+    }
+    let row = b.run("linalg/cholesky/n167", || {
+        k.cholesky().expect("kernel matrix is SPD")
+    });
+    entries.push(entry(
+        "linalg/cholesky/n167",
+        "seconds",
+        row.median_ns * 1e-9,
+    ));
+}
+
 fn bench_gp(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     for &n in &[64usize, 128] {
         let mut rng = StdRng::seed_from_u64(11);
@@ -387,6 +419,7 @@ fn main() {
     bench_eval(&mut b, &mut entries);
     bench_eval_contended(&mut b, &mut entries);
     bench_ascend(&mut b, &mut entries);
+    bench_cholesky(&mut b, &mut entries);
     bench_gp(&mut b, &mut entries);
     bench_hypervolume(&mut b, &mut entries);
 

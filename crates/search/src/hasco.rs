@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use unico_model::Platform;
 use unico_surrogate::pareto::ParetoFront;
 use unico_surrogate::scalarize::{normalize_columns, parego, sample_simplex, DEFAULT_RHO};
-use unico_surrogate::{expected_improvement, GaussianProcess, KernelKind};
+use unico_surrogate::{expected_improvement, GaussianProcess, KernelKind, PoolPosterior};
 
 use crate::env::{evaluate_batch, CoSearchEnv};
 use crate::trace::{SearchTrace, SimClock};
@@ -84,10 +84,13 @@ where
             match gp.fit(&xs, &targets, &mut rng) {
                 Ok(()) => {
                     clock.charge_sequential(2.0); // surrogate overhead
+                    let feats: Vec<Vec<f64>> =
+                        pool.iter().map(|hw| env.platform().encode(hw)).collect();
+                    let mut posterior = PoolPosterior::new(&feats, gp.len());
+                    let (means, vars) = posterior.update(&gp);
                     let mut best_idx = 0usize;
                     let mut best_ei = f64::NEG_INFINITY;
-                    for (i, hw) in pool.iter().enumerate() {
-                        let (m, v) = gp.predict(&env.platform().encode(hw));
+                    for (i, (&m, &v)) in means.iter().zip(vars).enumerate() {
                         let ei = expected_improvement(m, v, best);
                         if ei > best_ei {
                             best_ei = ei;

@@ -1,6 +1,6 @@
 //! Acquisition functions and kriging-believer batch selection.
 
-use crate::gp::{GaussianProcess, PosteriorMemo};
+use crate::gp::{GaussianProcess, PoolPosterior};
 
 /// Which acquisition function batch selection maximizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,22 +80,19 @@ pub fn select_batch(
     assert!(batch > 0, "batch must be positive");
     let picks = batch.min(pool.len());
     let mut chosen: Vec<usize> = Vec::with_capacity(picks);
-    // Each candidate's kernel row and forward solve are memoized across
-    // kriging-believer rounds: a hallucination appends one row to the
-    // factor, so a memo grows by one entry per pick instead of being
-    // re-solved in O(n²) — the prediction bits are unchanged.
-    let capacity = gp.len() + picks;
-    let mut memos: Vec<PosteriorMemo> = (0..pool.len())
-        .map(|_| PosteriorMemo::with_capacity(capacity))
-        .collect();
+    // The pool's kernel rows and forward solves carry across picks: a
+    // hallucination appends one row to the factor, so each pick adds one
+    // row across the pool instead of re-solving in O(n²), with the
+    // prediction bits unchanged. The buffers die with this call.
+    let mut posterior = PoolPosterior::new(pool, gp.len() + picks - 1);
     loop {
         let mut best_pick = None;
         let mut best_score = f64::NEG_INFINITY;
-        for (i, (x, memo)) in pool.iter().zip(&mut memos).enumerate() {
+        let (means, vars) = posterior.update(&gp);
+        for (i, (&mean, &var)) in means.iter().zip(vars).enumerate() {
             if chosen.contains(&i) {
                 continue;
             }
-            let (mean, var) = gp.predict_memoized(x, memo);
             let score = match kind {
                 AcquisitionKind::ExpectedImprovement => expected_improvement(mean, var, best),
                 AcquisitionKind::LowerConfidenceBound { beta } => ucb(mean, var, beta),

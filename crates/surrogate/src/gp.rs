@@ -63,37 +63,24 @@ pub struct GaussianProcess {
     chol: Option<Matrix>,
     alpha: Vec<f64>,
     /// Factor epoch: bumped whenever the factor is rebuilt from scratch
-    /// (never by a row append), so a [`PosteriorMemo`] can tell whether
+    /// (never by a row append), so a [`PoolPosterior`] can tell whether
     /// it still matches the factor's leading rows.
     epoch: u64,
 }
 
-/// Memoized posterior state of one query point across a growing GP:
-/// the kernel row `k(X, x)` and the forward solve `v = L⁻¹ k`, as used
-/// by [`GaussianProcess::predict_memoized`].
-///
-/// Kriging-believer batch selection queries every pool candidate once
-/// per pick while each pick appends one hallucinated row to the factor.
-/// Appends leave the earlier rows of `L` untouched, so a memo only needs
-/// one new kernel entry and one new solve entry per pick. A memo belongs
-/// to one query point and one GP (or the clone it hallucinates into).
-#[derive(Debug, Clone, Default)]
-pub struct PosteriorMemo {
-    row: Vec<f64>,
-    v: Vec<f64>,
-    epoch: u64,
+/// Whether a candidate log marginal likelihood `lml` replaces the
+/// incumbent `best` in the hyperparameter search: strictly greater, so
+/// the first of equal maxima wins, and never a non-finite value — a NaN
+/// taken first would win every later `>` comparison by default.
+fn improves_lml(lml: f64, best: Option<f64>) -> bool {
+    lml.is_finite() && best.is_none_or(|b| lml > b)
 }
 
-impl PosteriorMemo {
-    /// An empty memo whose buffers hold `n` training points without
-    /// reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        PosteriorMemo {
-            row: Vec::with_capacity(n),
-            v: Vec::with_capacity(n),
-            epoch: 0,
-        }
-    }
+/// `alpha = (L Lᵀ)⁻¹ y` into a reused buffer.
+fn cholesky_solve(l: &Matrix, y: &[f64], alpha: &mut Vec<f64>) {
+    alpha.clear();
+    l.solve_lower_extend(y, alpha);
+    l.solve_lower_transpose_in_place(alpha);
 }
 
 impl GaussianProcess {
@@ -154,13 +141,16 @@ impl GaussianProcess {
     /// success.
     fn refactor(&mut self) -> Result<(), GpError> {
         self.epoch += 1;
+        let n = self.x.len();
+        let mut k = Matrix::zeros(n, n);
+        self.kernel_lower(&self.kernel, &mut k);
         let mut jitter = self.noise;
         for _ in 0..8 {
-            let k = self.kernel_matrix(&self.kernel, jitter);
+            self.kernel_diagonal(&self.kernel, jitter, &mut k);
             match k.cholesky() {
                 Ok(l) => {
-                    let mut alpha = l.solve_lower(&self.y_norm);
-                    alpha = l.solve_lower_transpose(&alpha);
+                    let mut alpha = Vec::with_capacity(n);
+                    cholesky_solve(&l, &self.y_norm, &mut alpha);
                     self.chol = Some(l);
                     self.alpha = alpha;
                     self.noise = jitter;
@@ -188,26 +178,31 @@ impl GaussianProcess {
         Ok(())
     }
 
-    fn kernel_matrix(&self, kernel: &Kernel, noise: f64) -> Matrix {
-        let n = self.x.len();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let v = kernel.eval(&self.x[i], &self.x[j]);
-                k[(i, j)] = v;
-                k[(j, i)] = v;
+    /// Writes `k(x_i, x_j)` over the training points into the strict
+    /// lower triangle of `k`, the only off-diagonal part a factorization
+    /// reads.
+    fn kernel_lower(&self, kernel: &Kernel, k: &mut Matrix) {
+        for (j, xj) in self.x.iter().enumerate() {
+            for (i, xi) in self.x.iter().enumerate().skip(j + 1) {
+                k[(i, j)] = kernel.eval(xi, xj);
             }
-            k[(i, i)] += noise;
         }
-        k
     }
 
-    fn log_marginal(&self, kernel: &Kernel, noise: f64, y: &[f64]) -> Option<f64> {
-        let k = self.kernel_matrix(kernel, noise);
-        let l = k.cholesky().ok()?;
-        let mut alpha = l.solve_lower(y);
-        alpha = l.solve_lower_transpose(&alpha);
-        let fit: f64 = y.iter().zip(&alpha).map(|(a, b)| a * b).sum();
+    /// Sets the diagonal of `k` to `k(x_i, x_i) + noise`.
+    fn kernel_diagonal(&self, kernel: &Kernel, noise: f64, k: &mut Matrix) {
+        for (i, xi) in self.x.iter().enumerate() {
+            k[(i, i)] = kernel.eval(xi, xi) + noise;
+        }
+    }
+
+    /// Log marginal likelihood of `y` under the kernel matrix `k`,
+    /// factorizing into the reused buffers `l` and `alpha`; `None` when
+    /// `k` is not positive definite.
+    fn log_marginal(k: &Matrix, y: &[f64], l: &mut Matrix, alpha: &mut Vec<f64>) -> Option<f64> {
+        k.cholesky_into(l).ok()?;
+        cholesky_solve(l, y, alpha);
+        let fit: f64 = y.iter().zip(alpha.iter()).map(|(a, b)| a * b).sum();
         let n = y.len() as f64;
         Some(-0.5 * fit - 0.5 * l.cholesky_log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
     }
@@ -223,16 +218,9 @@ impl GaussianProcess {
         self.validate(xs, ys)?;
         self.x = xs.to_vec();
         self.standardize(ys);
-        let y_norm = self.y_norm.clone();
 
-        // Multi-start hyperparameter search.
-        let mut best: Option<(f64, Kernel, f64)> = None;
-        let consider = |ls: f64, var: f64, noise: f64, gp: &GaussianProcess| {
-            let kernel = Kernel::new(gp.kind, ls, var);
-            gp.log_marginal(&kernel, noise, &y_norm)
-                .map(|lml| (lml, kernel, noise))
-        };
-        // Deterministic coarse grid plus random refinement.
+        // Multi-start hyperparameter search: a deterministic coarse grid
+        // plus random refinement.
         let mut candidates: Vec<(f64, f64, f64)> = Vec::new();
         for &ls in &[0.05, 0.1, 0.2, 0.4, 0.8, 1.6] {
             for &noise in &[1e-6, 1e-4, 1e-2] {
@@ -245,11 +233,27 @@ impl GaussianProcess {
             let noise = 10f64.powf(rng.gen_range(-6.0..-1.0));
             candidates.push((ls, var, noise));
         }
+        // Consecutive candidates with the same `(ls, var)` — each grid
+        // length scale across its noise levels — share one off-diagonal
+        // kernel build; only the diagonal is rewritten per noise.
+        let n = self.x.len();
+        let mut k = Matrix::zeros(n, n);
+        let mut l = Matrix::zeros(n, n);
+        let mut alpha = Vec::with_capacity(n);
+        let mut built: Option<(u64, u64)> = None;
+        let mut best: Option<(f64, Kernel, f64)> = None;
         for (ls, var, noise) in candidates {
-            if let Some(cand) = consider(ls, var, noise, self) {
-                if best.as_ref().is_none_or(|(b, _, _)| cand.0 > *b) {
-                    best = Some(cand);
-                }
+            let kernel = Kernel::new(self.kind, ls, var);
+            if built != Some((ls.to_bits(), var.to_bits())) {
+                self.kernel_lower(&kernel, &mut k);
+                built = Some((ls.to_bits(), var.to_bits()));
+            }
+            self.kernel_diagonal(&kernel, noise, &mut k);
+            let Some(lml) = Self::log_marginal(&k, &self.y_norm, &mut l, &mut alpha) else {
+                continue;
+            };
+            if improves_lml(lml, best.as_ref().map(|b| b.0)) {
+                best = Some((lml, kernel, noise));
             }
         }
         let (_, kernel, noise) =
@@ -339,10 +343,8 @@ impl GaussianProcess {
         if appended {
             self.standardize(ys);
             let l = factor.as_ref().expect("factor present on append path");
-            let mut alpha = l.solve_lower(&self.y_norm);
-            alpha = l.solve_lower_transpose(&alpha);
+            cholesky_solve(l, &self.y_norm, &mut self.alpha);
             self.chol = factor;
-            self.alpha = alpha;
             Ok(())
         } else {
             // Non-positive pivot (or no factor yet): a from-scratch
@@ -360,51 +362,26 @@ impl GaussianProcess {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        self.predict_memoized(x, &mut PosteriorMemo::with_capacity(self.len()))
-    }
-
-    /// [`GaussianProcess::predict`] through a memo carried across calls
-    /// at the same `x`: extends the memo's kernel row and forward solve
-    /// to the current training set and returns the posterior, bitwise
-    /// identical to `predict(x)`.
-    ///
-    /// New solve entries are computed by [`Matrix::solve_lower_extend`],
-    /// i.e. in exactly the row order of a full solve, and a row append
-    /// leaves the factor's earlier rows unchanged — so after `m` appended
-    /// points (`hallucinate`, `fit_incremental`) the memo costs O(m·n)
-    /// instead of a fresh O(n²) solve. When the factor was rebuilt since
-    /// the memo's last use (a new epoch: a refit, whose kernel or points
-    /// may differ, or a jitter-ladder fallback), the memo starts over.
-    /// The mean and `Σv²` are recomputed over the whole row in the same
-    /// iterator order as always.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn predict_memoized(&self, x: &[f64], memo: &mut PosteriorMemo) -> (f64, f64) {
         assert_eq!(x.len(), self.dim, "prediction dimension mismatch");
         let Some(l) = &self.chol else {
-            return (
-                self.y_mean,
-                self.kernel.variance() * self.y_std * self.y_std,
-            );
+            return self.prior();
         };
-        if memo.epoch != self.epoch {
-            memo.row.clear();
-            memo.v.clear();
-            memo.epoch = self.epoch;
-        }
-        for xi in &self.x[memo.row.len()..] {
-            memo.row.push(self.kernel.eval(xi, x));
-        }
-        l.solve_lower_extend(&memo.row, &mut memo.v);
-        let mean_norm: f64 = memo.row.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
-        let var_norm = (self.kernel.eval(x, x) + self.noise
-            - memo.v.iter().map(|u| u * u).sum::<f64>())
-        .max(0.0);
+        let row: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+        let v = l.solve_lower(&row);
+        let mean_norm: f64 = row.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
+        let var_norm =
+            (self.kernel.eval(x, x) + self.noise - v.iter().map(|u| u * u).sum::<f64>()).max(0.0);
         (
             mean_norm * self.y_std + self.y_mean,
             var_norm * self.y_std * self.y_std,
+        )
+    }
+
+    /// The prior `(mean, variance)` an unfitted GP predicts everywhere.
+    fn prior(&self) -> (f64, f64) {
+        (
+            self.y_mean,
+            self.kernel.variance() * self.y_std * self.y_std,
         )
     }
 
@@ -442,9 +419,7 @@ impl GaussianProcess {
         self.y_norm.push((y - self.y_mean) / self.y_std);
         if appended {
             let l = self.chol.as_ref().expect("factor present on append path");
-            let mut alpha = l.solve_lower(&self.y_norm);
-            alpha = l.solve_lower_transpose(&alpha);
-            self.alpha = alpha;
+            cholesky_solve(l, &self.y_norm, &mut self.alpha);
             return Ok(());
         }
         let epoch = self.epoch;
@@ -458,6 +433,131 @@ impl GaussianProcess {
             }));
         }
         Ok(())
+    }
+}
+
+/// The posterior of a fixed candidate pool under one GP and the
+/// row-appended GPs it grows into, in structure-of-arrays layout.
+///
+/// Kriging-believer batch selection scores every pool candidate once per
+/// pick while each pick appends one hallucinated row to the factor.
+/// Appends leave the earlier rows of `L` untouched, so the kernel rows
+/// `K[k][p] = k(x_k, pool[p])` and forward solves `V = L⁻¹ K` of the
+/// absorbed training points carry over: a new training row costs one
+/// kernel evaluation per candidate and one forward-solve row,
+/// `V[i][p] = (K[i][p] − Σ_k L[i][k]·V[k][p]) / L[i][i]` with `k`
+/// ascending, run across all candidates at once. Each candidate keeps a
+/// running `Σ_k V[k][p]²`, and the means `Σ_k K[k][p]·alpha[k]` are
+/// accumulated across candidates in `k` order. Every sum is the
+/// sequential fold [`GaussianProcess::predict`] performs, so each
+/// candidate's `(mean, variance)` is bitwise identical to `predict`.
+///
+/// When the factor was rebuilt since the last update (a new epoch: a
+/// refit, whose kernel or points may differ, or a jitter-ladder
+/// fallback), the posterior starts over.
+#[derive(Debug)]
+pub struct PoolPosterior<'p> {
+    pool: &'p [Vec<f64>],
+    /// Factor epoch the buffers belong to; `None` before the first
+    /// update of a fitted GP.
+    epoch: Option<u64>,
+    /// Training rows absorbed into `k` and `v`.
+    rows: usize,
+    /// `K[k][p]` at `k * pool.len() + p`.
+    k: Vec<f64>,
+    /// `V[k][p]`, same layout.
+    v: Vec<f64>,
+    /// Running `Σ_k V[k][p]²`, folded from `-0.0` like `Iterator::sum`.
+    v_sq: Vec<f64>,
+    /// `k(pool[p], pool[p]) + noise` under the epoch's kernel and noise.
+    prior: Vec<f64>,
+    mean: Vec<f64>,
+    var: Vec<f64>,
+}
+
+impl<'p> PoolPosterior<'p> {
+    /// An empty posterior over `pool`, with room for `rows` training
+    /// points before its `rows × pool` buffers reallocate.
+    pub fn new(pool: &'p [Vec<f64>], rows: usize) -> Self {
+        let np = pool.len();
+        PoolPosterior {
+            pool,
+            epoch: None,
+            rows: 0,
+            k: Vec::with_capacity(rows * np),
+            v: Vec::with_capacity(rows * np),
+            v_sq: Vec::with_capacity(np),
+            prior: Vec::with_capacity(np),
+            mean: Vec::with_capacity(np),
+            var: Vec::with_capacity(np),
+        }
+    }
+
+    /// Brings the posterior up to date with `gp` and returns every pool
+    /// candidate's posterior means and variances (in original target
+    /// units), each bitwise equal to `gp.predict(&pool[p])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate's length differs from `gp.dim()`.
+    pub fn update(&mut self, gp: &GaussianProcess) -> (&[f64], &[f64]) {
+        let np = self.pool.len();
+        assert!(
+            self.pool.iter().all(|x| x.len() == gp.dim),
+            "prediction dimension mismatch"
+        );
+        self.mean.clear();
+        self.var.clear();
+        let Some(l) = &gp.chol else {
+            let (mean, var) = gp.prior();
+            self.mean.resize(np, mean);
+            self.var.resize(np, var);
+            return (&self.mean, &self.var);
+        };
+        if np == 0 {
+            return (&self.mean, &self.var);
+        }
+        if self.epoch != Some(gp.epoch) {
+            self.epoch = Some(gp.epoch);
+            self.rows = 0;
+            self.k.clear();
+            self.v.clear();
+            self.v_sq.clear();
+            self.v_sq.resize(np, -0.0);
+            self.prior.clear();
+            self.prior
+                .extend(self.pool.iter().map(|x| gp.kernel.eval(x, x) + gp.noise));
+        }
+        for (i, xi) in gp.x.iter().enumerate().skip(self.rows) {
+            self.k
+                .extend(self.pool.iter().map(|x| gp.kernel.eval(xi, x)));
+            self.v.extend_from_slice(&self.k[i * np..]);
+            let (done, row) = self.v.split_at_mut(i * np);
+            for (t, vt) in done.chunks_exact(np).enumerate() {
+                let lit = l[(i, t)];
+                for (a, b) in row.iter_mut().zip(vt) {
+                    *a -= lit * b;
+                }
+            }
+            let lii = l[(i, i)];
+            for (a, s) in row.iter_mut().zip(&mut self.v_sq) {
+                *a /= lii;
+                *s += *a * *a;
+            }
+        }
+        self.rows = gp.x.len();
+        self.mean.resize(np, -0.0);
+        for (kt, a) in self.k.chunks_exact(np).zip(&gp.alpha) {
+            for (m, kv) in self.mean.iter_mut().zip(kt) {
+                *m += kv * a;
+            }
+        }
+        for (m, (prior, s)) in self.mean.iter_mut().zip(self.prior.iter().zip(&self.v_sq)) {
+            *m = *m * gp.y_std + gp.y_mean;
+            let var_norm = (prior - s).max(0.0);
+            self.var.push(var_norm * gp.y_std * gp.y_std);
+        }
+        (&self.mean, &self.var)
     }
 }
 
@@ -579,24 +679,41 @@ mod tests {
     }
 
     #[test]
-    fn memo_survives_appends_and_refits_bitwise() {
+    fn pool_posterior_survives_appends_and_refits_bitwise() {
         let xs = vec![vec![0.1], vec![0.45], vec![0.9]];
         let ys = vec![0.3, 1.0, 0.2];
         let mut gp = GaussianProcess::new(KernelKind::Matern52, 1);
-        gp.fit_with_hypers(&xs, &ys, 0.3, 1.0, 1e-4).unwrap();
-        let q = [0.6];
-        let mut memo = PosteriorMemo::default();
-        let check = |gp: &GaussianProcess, memo: &mut PosteriorMemo| {
-            let (m, v) = gp.predict_memoized(&q, memo);
-            let (fm, fv) = gp.predict(&q);
-            assert_eq!((m.to_bits(), v.to_bits()), (fm.to_bits(), fv.to_bits()));
+        let pool = vec![vec![0.6], vec![0.05], vec![0.45]];
+        let mut post = PoolPosterior::new(&pool, 4);
+        let mut check = |gp: &GaussianProcess| {
+            let (means, vars) = post.update(gp);
+            for ((x, m), v) in pool.iter().zip(means).zip(vars) {
+                let (fm, fv) = gp.predict(x);
+                assert_eq!((m.to_bits(), v.to_bits()), (fm.to_bits(), fv.to_bits()));
+            }
         };
-        check(&gp, &mut memo);
+        check(&gp);
+        gp.fit_with_hypers(&xs, &ys, 0.3, 1.0, 1e-4).unwrap();
+        check(&gp);
         gp.hallucinate(vec![0.3], 0.5).unwrap();
-        check(&gp, &mut memo);
-        // A refit on other data and hypers must not reuse the old row.
+        check(&gp);
+        // A refit on other data and hypers must not reuse the old rows.
         gp.fit_with_hypers(&[vec![0.7], vec![0.2]], &[1.0, 0.0], 0.8, 2.0, 1e-2)
             .unwrap();
-        check(&gp, &mut memo);
+        check(&gp);
+    }
+
+    #[test]
+    fn hyper_search_never_selects_a_non_finite_lml() {
+        let mut best = None;
+        for lml in [f64::NAN, -3.0, -1.0] {
+            if improves_lml(lml, best) {
+                best = Some(lml);
+            }
+        }
+        assert_eq!(best, Some(-1.0));
+        // Finite ties keep the first maximum.
+        assert!(!improves_lml(-1.0, Some(-1.0)));
+        assert!(!improves_lml(f64::INFINITY, None));
     }
 }

@@ -48,5 +48,5 @@ pub mod pareto;
 pub mod scalarize;
 
 pub use acquisition::{expected_improvement, select_batch, ucb, AcquisitionKind};
-pub use gp::{GaussianProcess, GpError, PosteriorMemo};
+pub use gp::{GaussianProcess, GpError, PoolPosterior};
 pub use kernel::{Kernel, KernelKind};

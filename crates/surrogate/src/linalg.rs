@@ -1,14 +1,27 @@
 //! Minimal dense linear algebra: just enough for Gaussian-process
 //! regression (symmetric positive-definite systems via Cholesky).
+//!
+//! Every kernel here keeps the textbook per-element operation order —
+//! each entry starts from its input and subtracts its products in
+//! ascending index order — so results are bitwise identical to the
+//! scalar row loops they replace. Speed comes only from running
+//! independent elements side by side over contiguous columns, which
+//! LLVM vectorizes.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq)]
+/// A dense matrix of `f64`, indexed `(row, col)`.
+///
+/// Storage is column-major with a leading dimension `ld ≥ rows`: column
+/// `c` occupies `data[c * ld..c * ld + rows]`. The buffer may hold spare
+/// rows and columns beyond the view, which lets a Cholesky factor grow
+/// by appended rows in place; every slot outside the view holds `0.0`.
+#[derive(Debug, Clone)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
+    ld: usize,
     data: Vec<f64>,
 }
 
@@ -18,6 +31,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
+            ld: rows,
             data: vec![0.0; rows * cols],
         }
     }
@@ -43,11 +57,13 @@ impl Matrix {
             rows.iter().all(|row| row.len() == c),
             "ragged rows in matrix construction"
         );
-        Matrix {
-            rows: r,
-            cols: c,
-            data: rows.iter().flatten().copied().collect(),
+        let mut m = Matrix::zeros(r, c);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                m[(i, j)] = v;
+            }
         }
+        m
     }
 
     /// Number of rows.
@@ -60,6 +76,11 @@ impl Matrix {
         self.cols
     }
 
+    /// Column `c` as a contiguous slice of `rows` entries.
+    fn col(&self, c: usize) -> &[f64] {
+        &self.data[c * self.ld..c * self.ld + self.rows]
+    }
+
     /// Matrix–vector product.
     ///
     /// # Panics
@@ -67,42 +88,65 @@ impl Matrix {
     /// Panics if `v.len() != self.cols()`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *o = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-        out
+        (0..self.rows)
+            .map(|i| v.iter().enumerate().map(|(j, b)| self[(i, j)] * b).sum())
+            .collect()
     }
 
-    /// In-place Cholesky factorization of a symmetric positive-definite
-    /// matrix; returns the lower-triangular factor `L` with `L Lᵀ = A`.
+    /// Cholesky factorization of a symmetric positive-definite matrix;
+    /// returns the lower-triangular factor `L` with `L Lᵀ = A`. Only the
+    /// lower triangle of `A` is read.
     ///
     /// # Errors
     ///
-    /// Returns `Err(LinalgError::NotPositiveDefinite)` if a non-positive
-    /// pivot is encountered.
+    /// Returns `Err(LinalgError::NotPositiveDefinite)` at the first
+    /// non-positive or non-finite pivot.
     pub fn cholesky(&self) -> Result<Matrix, LinalgError> {
+        let mut l = Matrix::zeros(0, 0);
+        self.cholesky_into(&mut l)?;
+        Ok(l)
+    }
+
+    /// [`Matrix::cholesky`] into `l`, reusing its buffer. On error `l`
+    /// holds a partial factor.
+    ///
+    /// A left-looking column factorization: column `j` starts as
+    /// `A[j.., j]`, takes `col_j -= L[j][k] · col_k` for `k = 0, 1, …,
+    /// j−1` (a contiguous axpy), then the pivot check, `sqrt` and the
+    /// division of the entries below the diagonal. Each entry `(i, j)`
+    /// thus sees exactly the subtractions `L[i][k]·L[j][k]` in ascending
+    /// `k` of the row-by-row textbook loop, so the bits and the first
+    /// failing pivot are the same.
+    pub(crate) fn cholesky_into(&self, l: &mut Matrix) -> Result<(), LinalgError> {
         assert_eq!(self.rows, self.cols, "cholesky needs a square matrix");
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
-                    }
-                    l[(i, i)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+        l.rows = n;
+        l.cols = n;
+        l.ld = n;
+        l.data.clear();
+        l.data.resize(n * n, 0.0);
+        for j in 0..n {
+            let (done, rest) = l.data.split_at_mut(j * n);
+            let col = &mut rest[j..n];
+            col.copy_from_slice(&self.col(j)[j..]);
+            for k in 0..j {
+                let prev = &done[k * n + j..(k + 1) * n];
+                let ljk = prev[0];
+                for (c, p) in col.iter_mut().zip(prev) {
+                    *c -= p * ljk;
                 }
             }
+            let pivot = col[0];
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite { pivot: j });
+            }
+            let d = pivot.sqrt();
+            col[0] = d;
+            for c in &mut col[1..] {
+                *c /= d;
+            }
         }
-        Ok(l)
+        Ok(())
     }
 
     /// Solves `L x = b` for lower-triangular `L` (forward substitution).
@@ -123,6 +167,11 @@ impl Matrix {
     /// which lets a caller whose factor only ever grows by appended rows
     /// keep its solve and pay O(n) per new row instead of O(n²).
     ///
+    /// Runs column by column: once `x[t]` is final, `x[i] -= L[i][t]·x[t]`
+    /// for every later row `i` at once. Each `x[i]` still starts at `b[i]`
+    /// and subtracts its terms in ascending `t` before dividing by
+    /// `L[i][i]`, exactly as a row-by-row dot product would.
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or if `x` is longer than `L`.
@@ -130,14 +179,18 @@ impl Matrix {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.len(), self.rows, "solve_lower dimension mismatch");
         assert!(x.len() <= self.rows, "solve_lower_extend: stale solution");
-        let n = self.rows;
-        for (i, &bi) in b.iter().enumerate().skip(x.len()) {
-            let row = &self.data[i * n..i * n + i];
-            let mut sum = bi;
-            for (l, xk) in row.iter().zip(x.iter()) {
-                sum -= l * xk;
+        let m = x.len();
+        x.extend_from_slice(&b[m..]);
+        for t in 0..self.rows {
+            let col = self.col(t);
+            if t >= m {
+                x[t] /= col[t];
             }
-            x.push(sum / self.data[i * n + i]);
+            let xt = x[t];
+            let start = m.max(t + 1);
+            for (xi, l) in x[start..].iter_mut().zip(&col[start..]) {
+                *xi -= l * xt;
+            }
         }
     }
 
@@ -148,18 +201,26 @@ impl Matrix {
     ///
     /// Panics on dimension mismatch.
     pub fn solve_lower_transpose(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, self.cols);
-        assert_eq!(b.len(), self.rows, "solve_lower_transpose mismatch");
-        let n = self.rows;
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = b[i];
-            for k in i + 1..n {
-                sum -= self[(k, i)] * x[k];
-            }
-            x[i] = sum / self[(i, i)];
-        }
+        let mut x = b.to_vec();
+        self.solve_lower_transpose_in_place(&mut x);
         x
+    }
+
+    /// [`Matrix::solve_lower_transpose`] overwriting `x` (holding `b` on
+    /// entry). Row `i` of `Lᵀ` is column `i` of `L`, read contiguously;
+    /// each dot product runs in ascending `k`.
+    pub(crate) fn solve_lower_transpose_in_place(&self, x: &mut [f64]) {
+        assert_eq!(self.rows, self.cols);
+        assert_eq!(x.len(), self.rows, "solve_lower_transpose mismatch");
+        for i in (0..self.rows).rev() {
+            let col = self.col(i);
+            let (head, tail) = x.split_at_mut(i + 1);
+            let mut sum = head[i];
+            for (l, xk) in col[i + 1..].iter().zip(tail.iter()) {
+                sum -= l * xk;
+            }
+            head[i] = sum / col[i];
+        }
     }
 
     /// Log-determinant of `A = L Lᵀ` given this Cholesky factor `L`
@@ -172,15 +233,17 @@ impl Matrix {
     /// the factor of the `(n+1)×(n+1)` matrix `[[A, k], [kᵀ, d]]` in
     /// O(n²), appending one row in place.
     ///
-    /// The new row is computed with exactly the operation order of
-    /// [`Matrix::cholesky`]'s row loop, so an append-grown factor is
-    /// bitwise identical to a from-scratch factorization of the
-    /// extended matrix.
+    /// The new row is computed with exactly the per-entry operation order
+    /// of [`Matrix::cholesky`], so an append-grown factor is bitwise
+    /// identical to a from-scratch factorization of the extended matrix.
+    /// The buffer keeps spare rows and columns, so most appends move no
+    /// existing entry.
     ///
     /// # Errors
     ///
     /// Returns `Err(LinalgError::NotPositiveDefinite)` with
-    /// `pivot == n` if the extended matrix is not positive definite.
+    /// `pivot == n` if the extended matrix is not positive definite; the
+    /// factor is then unchanged.
     ///
     /// # Panics
     ///
@@ -189,34 +252,63 @@ impl Matrix {
         assert_eq!(self.rows, self.cols, "cholesky_append_row needs square L");
         let n = self.rows;
         assert_eq!(k.len(), n, "cholesky_append_row column length mismatch");
-        // Grow to (n+1)×(n+1), shifting existing rows into the wider
-        // layout back to front so nothing is overwritten.
-        let mut grown = vec![0.0; (n + 1) * (n + 1)];
-        for i in 0..n {
-            grown[i * (n + 1)..i * (n + 1) + n].copy_from_slice(&self.data[i * n..(i + 1) * n]);
-        }
-        // New row, exactly as cholesky() computes row i = n.
-        let mut row = vec![0.0; n + 1];
-        for j in 0..n {
-            let mut sum = k[j];
-            for t in 0..j {
-                sum -= row[t] * grown[j * (n + 1) + t];
+        self.reserve_square(n + 1);
+        let ld = self.ld;
+        // The new row is a forward solve `L r = k`, run column by column
+        // in the spare upper part of column n (zero, and outside the
+        // view until the append commits).
+        let (cols, spare) = self.data.split_at_mut(n * ld);
+        let r = &mut spare[..n];
+        r.copy_from_slice(k);
+        for t in 0..n {
+            let col = &cols[t * ld..t * ld + n];
+            r[t] /= col[t];
+            let rt = r[t];
+            for (ri, l) in r[t + 1..].iter_mut().zip(&col[t + 1..]) {
+                *ri -= rt * l;
             }
-            row[j] = sum / grown[j * (n + 1) + j];
         }
         let mut sum = d;
-        for r in row.iter().take(n) {
-            sum -= r * r;
+        for v in r.iter() {
+            sum -= v * v;
         }
         if sum <= 0.0 || !sum.is_finite() {
+            r.fill(0.0);
             return Err(LinalgError::NotPositiveDefinite { pivot: n });
         }
-        row[n] = sum.sqrt();
-        grown[n * (n + 1)..].copy_from_slice(&row);
+        for (t, v) in r.iter_mut().enumerate() {
+            cols[t * ld + n] = std::mem::take(v);
+        }
+        spare[n] = sum.sqrt();
         self.rows = n + 1;
         self.cols = n + 1;
-        self.data = grown;
         Ok(())
+    }
+
+    /// Makes room for an `m × m` view: when the leading dimension or the
+    /// buffer is too small, re-lays the entries out with a quarter of
+    /// spare rows and columns, so appends amortize to O(n) moves each.
+    fn reserve_square(&mut self, m: usize) {
+        if self.ld >= m && self.data.len() >= m * self.ld {
+            return;
+        }
+        let ld = m + m / 4;
+        let mut data = vec![0.0; ld * ld];
+        for c in 0..self.cols {
+            data[c * ld..c * ld + self.rows].copy_from_slice(self.col(c));
+        }
+        self.ld = ld;
+        self.data = data;
+    }
+}
+
+impl PartialEq for Matrix {
+    /// Equal when the views are: the same shape and entries, whatever the
+    /// spare capacity.
+    fn eq(&self, other: &Matrix) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && (0..self.cols).all(|c| self.col(c) == other.col(c))
     }
 }
 
@@ -224,13 +316,15 @@ impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        &self.data[r * self.cols + c]
+        assert!(r < self.rows && c < self.cols, "index out of bounds");
+        &self.data[c * self.ld + r]
     }
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        &mut self.data[r * self.cols + c]
+        assert!(r < self.rows && c < self.cols, "index out of bounds");
+        &mut self.data[c * self.ld + r]
     }
 }
 

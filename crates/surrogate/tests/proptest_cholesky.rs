@@ -1,9 +1,10 @@
-//! Property tests for the incremental Cholesky machinery behind the
-//! batched surrogate path: bitwise row appends, incremental-vs-scratch
-//! GP posteriors, and memoized kriging-believer posteriors against
+//! Property tests for the Cholesky machinery behind the surrogate: the
+//! column-oriented factorization and forward solve against the textbook
+//! row loops they replaced, bitwise row appends, incremental-vs-scratch
+//! GP posteriors, and the kriging believer's pool posterior against
 //! fresh predictions.
 //!
-//! Row appends reuse the scratch operation order exactly, so every
+//! Every kernel keeps the textbook per-element operation order, so every
 //! comparison here is **bitwise** (no tolerance), which is what the
 //! run-level determinism machinery relies on.
 
@@ -11,8 +12,70 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 
-use unico_surrogate::linalg::Matrix;
-use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, KernelKind, PosteriorMemo};
+use unico_surrogate::linalg::{LinalgError, Matrix};
+use unico_surrogate::{
+    select_batch, AcquisitionKind, GaussianProcess, Kernel, KernelKind, PoolPosterior,
+};
+
+/// The row-by-row Cholesky loop `Matrix::cholesky` used to run, kept as
+/// the bitwise oracle: entry `(i, j)` starts from `a[i][j]`, subtracts
+/// `l[i][k]·l[j][k]` for `k = 0, 1, …, j−1`, then takes the square root
+/// (diagonal) or divides by `l[j][j]`; the first non-positive or
+/// non-finite pivot fails.
+fn reference_cholesky(a: &Matrix) -> Result<Matrix, LinalgError> {
+    assert_eq!(a.rows(), a.cols(), "cholesky needs a square matrix");
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            for k in 0..j {
+                sum -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if sum <= 0.0 || !sum.is_finite() {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: i });
+                }
+                l[(i, i)] = sum.sqrt();
+            } else {
+                l[(i, j)] = sum / l[(j, j)];
+            }
+        }
+    }
+    Ok(l)
+}
+
+/// The row-by-row forward substitution `Matrix::solve_lower` used to
+/// run: `x[i] = (b[i] − Σ_{k<i} l[i][k]·x[k]) / l[i][i]`, `k` ascending.
+fn reference_solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut x: Vec<f64> = Vec::with_capacity(b.len());
+    for (i, &bi) in b.iter().enumerate() {
+        let mut sum = bi;
+        for (k, xk) in x.iter().enumerate() {
+            sum -= l[(i, k)] * xk;
+        }
+        x.push(sum / l[(i, i)]);
+    }
+    x
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    (0..m.rows())
+        .flat_map(|i| (0..m.cols()).map(move |j| (i, j)))
+        .map(|ij| m[ij].to_bits())
+        .collect()
+}
+
+/// `Matrix::cholesky` equals the reference bit for bit, including the
+/// pivot of a failure. Returns the reference result.
+fn assert_cholesky_matches(a: &Matrix) -> Result<Matrix, LinalgError> {
+    let want = reference_cholesky(a);
+    match (a.cholesky(), &want) {
+        (Ok(got), Ok(w)) => assert_eq!(bits(&got), bits(w), "factor bits diverged"),
+        (got, w) => assert_eq!(got.err(), w.clone().err(), "factorization outcome diverged"),
+    }
+    want
+}
 
 /// A well-conditioned SPD matrix `G Gᵀ + I` built from `n²` entries in
 /// `[-1, 1]`.
@@ -40,8 +103,40 @@ fn arb_spd(n: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-1.0f64..1.0, n * n..n * n + 1).prop_map(move |e| spd_from(&e, n))
 }
 
+/// `n` in `1..=40` and an SPD matrix of that size, plus a right-hand
+/// side and a uniform draw in `[0, 1)` for picking entries and shifts.
+fn arb_sized_spd() -> impl Strategy<Value = (Matrix, Vec<f64>, f64)> {
+    (
+        1usize..=40,
+        proptest::collection::vec(-1.0f64..1.0, 1600..1601),
+        proptest::collection::vec(-10.0f64..10.0, 40..41),
+        0.0f64..1.0,
+    )
+        .prop_map(|(n, e, b, u)| (spd_from(&e[..n * n], n), b[..n].to_vec(), u))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The column-oriented factorization and forward solve reproduce
+    /// the textbook row loops bitwise on SPD matrices of every size up
+    /// to 40, and a NaN anywhere in the lower triangle fails at the same
+    /// pivot.
+    #[test]
+    fn cholesky_and_solve_match_row_loop_reference(case in arb_sized_spd()) {
+        let (a, b, u) = case;
+        let l = assert_cholesky_matches(&a).expect("SPD by construction");
+        let got: Vec<u64> = l.solve_lower(&b).iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = reference_solve_lower(&l, &b).iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(got, want);
+
+        let n = a.rows();
+        let i = ((u * n as f64) as usize).min(n - 1);
+        let j = ((u * 7919.0) as usize) % (i + 1);
+        let mut poisoned = a.clone();
+        poisoned[(i, j)] = f64::NAN;
+        prop_assert!(assert_cholesky_matches(&poisoned).is_err());
+    }
 
     /// Appending rows one at a time reproduces the from-scratch factor
     /// of the full matrix **bitwise** — the invariant the incremental
@@ -117,6 +212,66 @@ proptest! {
     }
 }
 
+/// Indefinite matrices fail at the reference's pivot: an SPD matrix
+/// `G Gᵀ + I` shifted down by up to `n + 1` on the diagonal loses
+/// positive-definiteness at a size-dependent row. At least one generated
+/// case must fail past the first pivot.
+#[test]
+fn indefinite_matrices_fail_at_reference_pivot() {
+    let late_failures = Cell::new(0u32);
+    proptest::run_property(
+        "indefinite_matrices_fail_at_reference_pivot",
+        &ProptestConfig::with_cases(96),
+        &arb_sized_spd(),
+        |(a, _, u)| {
+            let n = a.rows();
+            let mut shifted = a.clone();
+            for i in 0..n {
+                shifted[(i, i)] -= u * (n + 1) as f64;
+            }
+            if let Err(LinalgError::NotPositiveDefinite { pivot }) =
+                assert_cholesky_matches(&shifted)
+            {
+                late_failures.set(late_failures.get() + u32::from(pivot > 0));
+            }
+        },
+    );
+    assert!(late_failures.get() > 0, "no case failed past pivot 0");
+}
+
+/// Matérn-5/2 kernel matrices at the smallest grid length scale (0.05)
+/// and noise `1e-6` over points on a coarse lattice, so duplicates make
+/// them near-singular — the shape that drives the jitter ladder —
+/// factorize (or fail) exactly like the reference.
+#[test]
+fn near_singular_kernel_matrices_match_reference() {
+    proptest::run_property(
+        "near_singular_kernel_matrices_match_reference",
+        &ProptestConfig::with_cases(64),
+        &proptest::collection::vec((0u8..6, 0u8..6), 1..41),
+        |cells| {
+            let kernel = Kernel::new(KernelKind::Matern52, 0.05, 1.0);
+            let xs: Vec<Vec<f64>> = cells
+                .iter()
+                .map(|&(a, b)| vec![f64::from(a) / 100.0, f64::from(b) / 100.0])
+                .collect();
+            let rows: Vec<Vec<f64>> = xs
+                .iter()
+                .map(|xi| {
+                    xs.iter()
+                        .map(|xj| kernel.eval(xi, xj) + if xi == xj { 1e-6 } else { 0.0 })
+                        .collect()
+                })
+                .collect();
+            let mut a = Matrix::from_rows(&rows);
+            for (i, xi) in xs.iter().enumerate() {
+                a[(i, i)] = kernel.eval(xi, xi) + 1e-6;
+            }
+            let _ = assert_cholesky_matches(&a);
+        },
+    );
+}
+
 /// One kriging-believer scenario: a GP at fixed hyperparameters, a
 /// candidate pool, the incumbent, the acquisition and the batch size.
 #[derive(Debug)]
@@ -186,30 +341,35 @@ fn score(kind: AcquisitionKind, mean: f64, var: f64, best: f64) -> f64 {
     }
 }
 
-fn assert_memo_matches(gp: &GaussianProcess, x: &[f64], memo: &mut PosteriorMemo) {
-    let (m, v) = gp.predict_memoized(x, memo);
+fn assert_posterior_matches(gp: &GaussianProcess, x: &[f64], mean: f64, var: f64) {
     let (fm, fv) = gp.predict(x);
-    assert_eq!(m.to_bits(), fm.to_bits(), "memoized mean at {x:?}");
-    assert_eq!(v.to_bits(), fv.to_bits(), "memoized variance at {x:?}");
+    assert_eq!(mean.to_bits(), fm.to_bits(), "pool posterior mean at {x:?}");
+    assert_eq!(
+        var.to_bits(),
+        fv.to_bits(),
+        "pool posterior variance at {x:?}"
+    );
 }
 
 /// Runs the kriging believer the way `select_batch` did before it
-/// memoized posteriors — a fresh `predict` per candidate per pick — and
-/// checks at every pick that each candidate's memo reproduces those
-/// bits. Returns the picks and whether the jitter-ladder fallback ran
-/// (a refactor that raised the noise level).
+/// carried posteriors across picks — a fresh `predict` per candidate per
+/// pick — and checks at every pick that the pool posterior reproduces
+/// those bits for every unchosen candidate. Returns the picks and
+/// whether the jitter-ladder fallback ran (a refactor that raised the
+/// noise level).
 fn reference_batch(case: &BelieverCase) -> (Vec<usize>, bool) {
     let mut gp = case.gp.clone();
-    let mut memos = vec![PosteriorMemo::default(); case.pool.len()];
+    let mut posterior = PoolPosterior::new(&case.pool, 0);
     let mut chosen: Vec<usize> = Vec::new();
     for _ in 0..case.batch.min(case.pool.len()) {
         let mut best_pick = None;
         let mut best_score = f64::NEG_INFINITY;
+        let (means, vars) = posterior.update(&gp);
         for (i, x) in case.pool.iter().enumerate() {
             if chosen.contains(&i) {
                 continue;
             }
-            assert_memo_matches(&gp, x, &mut memos[i]);
+            assert_posterior_matches(&gp, x, means[i], vars[i]);
             let (mean, var) = gp.predict(x);
             let s = score(case.kind, mean, var, case.best);
             if s > best_score {
@@ -222,14 +382,15 @@ fn reference_batch(case: &BelieverCase) -> (Vec<usize>, bool) {
         let (mean, _) = gp.predict(&case.pool[idx]);
         let _ = gp.hallucinate(case.pool[idx].clone(), mean);
     }
-    // Picked candidates' memos lag several appended rows by now.
-    for (x, memo) in case.pool.iter().zip(&mut memos) {
-        assert_memo_matches(&gp, x, memo);
+    // After the last pick, every candidate, picked ones included.
+    let (means, vars) = posterior.update(&gp);
+    for (i, x) in case.pool.iter().enumerate() {
+        assert_posterior_matches(&gp, x, means[i], vars[i]);
     }
     (chosen, gp.noise() != case.gp.noise())
 }
 
-/// Memoized posteriors are bitwise identical to fresh predictions at
+/// The pool posterior is bitwise identical to fresh predictions at
 /// every kriging-believer pick, and `select_batch` picks exactly what
 /// the per-candidate `predict` loop picks — including batches whose
 /// hallucinations fall back to a full jitter-ladder refactor (a new
