@@ -13,6 +13,9 @@
 //!   several threads (the service-mode steady state the sharded batch
 //!   pass was designed for: one lock acquisition and one counter flush
 //!   per shard per cohort instead of one per candidate);
+//! * the annealing hot loop: `AnnealingSearch::run_until` for 4096 steps
+//!   on an edge bound cost with a fresh cache — the per-candidate scalar
+//!   path as the default mapping tool drives it;
 //!
 //! on the cycle-level Ascend-like simulator:
 //!
@@ -35,9 +38,11 @@
 //! "metric", "value"}, ...]}` with throughputs in candidates/s, fit
 //! and acquisition times in seconds, and derived speedup ratios. The
 //! scalar columns time the per-candidate `MappingCost::assess` loop
-//! that annealing runs on, which keeps the pre-batch shape
-//! (materialized canonical key, one lock per lookup), so the ratios are
-//! an honest before/after. CI
+//! that annealing runs on. That loop shares the batched path's key
+//! function and row body and allocates nothing per candidate, so the
+//! ratios measure what batching still adds — one lock acquisition and
+//! counter flush per shard per cohort instead of one per candidate —
+//! not a slower scalar implementation. CI
 //! runs the binary in release and asserts the JSON parses with
 //! non-empty entries; the acceptance floors (batched >= 2x scalar
 //! warm-cache and contended throughput, incremental >= 5x faster than
@@ -52,7 +57,7 @@ use rand::{Rng, SeedableRng};
 
 use unico_bench::microbench::MicroBench;
 use unico_camodel::{AscendConfig, AscendModel, DepthFirstFusionSearch};
-use unico_mapping::{Mapping, MappingSpace};
+use unico_mapping::{AnnealingSearch, Mapping, MappingSearcher, MappingSpace};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
 use unico_surrogate::hypervolume::hypervolume;
 use unico_surrogate::linalg::Matrix;
@@ -233,6 +238,36 @@ fn bench_eval_contended(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     if speedup < 2.0 {
         eprintln!("WARNING: contended batched speedup {speedup:.2}x below the 2x acceptance floor");
     }
+}
+
+/// Steps of one measured annealing run.
+const ANNEAL_STEPS: u64 = 4096;
+
+/// The annealing hot loop: one `AnnealingSearch::run_until` of
+/// `ANNEAL_STEPS` steps on the shared workload's nest and hardware
+/// point, against an edge bound cost with a fresh evaluation cache (the
+/// shape of one mapping-search job inside an SH round). The search seed
+/// is fixed, so every measured run walks the same candidates and books
+/// the same hits and misses.
+fn bench_annealing(b: &mut MicroBench, entries: &mut Vec<Entry>) {
+    let (nest, hw, _) = workload();
+    let row = b.run("mapping/annealing/run_until_4096", || {
+        let p = SpatialPlatform::edge().with_eval_cache(std::sync::Arc::new(EvalCache::new()));
+        let cost = p.bind(&hw, &nest);
+        let mut search = AnnealingSearch::new(MappingSpace::new(&nest), StdRng::seed_from_u64(5));
+        search.run_until(cost.as_ref(), ANNEAL_STEPS);
+        search.history().spent()
+    });
+    entries.push(entry(
+        "mapping/annealing/run_until_4096",
+        "seconds",
+        row.median_ns * 1e-9,
+    ));
+    entries.push(entry(
+        "mapping/annealing/steps_per_s",
+        "steps_per_s",
+        ANNEAL_STEPS as f64 / (row.median_ns * 1e-9),
+    ));
 }
 
 /// One uncached cycle-level Ascend-like evaluation of a 64×64 3×3 conv
@@ -418,6 +453,7 @@ fn main() {
     let mut b = MicroBench::with_budget(Duration::from_millis(10), 8);
     bench_eval(&mut b, &mut entries);
     bench_eval_contended(&mut b, &mut entries);
+    bench_annealing(&mut b, &mut entries);
     bench_ascend(&mut b, &mut entries);
     bench_cholesky(&mut b, &mut entries);
     bench_gp(&mut b, &mut entries);

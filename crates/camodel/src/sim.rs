@@ -167,6 +167,20 @@ impl AscendModel {
         mapping: &Mapping,
         nest: &LoopNest,
     ) -> Result<(Ppa, AscendBreakdown), EvalError> {
+        self.evaluate_hoisted(hw, mapping, nest, self.area_mm2(hw), nest.macs() as f64)
+    }
+
+    /// [`AscendModel::evaluate_with_breakdown`] given the per-`(hw,
+    /// nest)` invariants: `area` must be `self.area_mm2(hw)` and `macs`
+    /// the nest's MAC count as `f64`, so passing them in changes no bits.
+    fn evaluate_hoisted(
+        &self,
+        hw: &AscendConfig,
+        mapping: &Mapping,
+        nest: &LoopNest,
+        area: f64,
+        macs: f64,
+    ) -> Result<(Ppa, AscendBreakdown), EvalError> {
         let t = &self.tech;
         let g = TileGemm::of(mapping);
 
@@ -290,7 +304,6 @@ impl AscendModel {
         };
 
         // --- Energy. ---
-        let macs = nest.macs() as f64;
         // Cube beats waste energy on padding when tile dims don't divide
         // the intrinsic.
         let cube_energy = (cube_beats - t.cube_pipe_depth)
@@ -300,7 +313,6 @@ impl AscendModel {
         let l0_bytes =
             ((fp1.input + fp1.weight) as f64 + (g.m * g.n * 4) as f64) * total_tiles as f64;
         let l1_bytes = (fp1.total() * total_tiles) as f64 + dram_bytes_total;
-        let area = self.area_mm2(hw);
         let energy_pj = cube_energy.max(macs * t.e_mac_pj)
             + l0_bytes * t.e_l0_pj_per_byte
             + l1_bytes * t.e_l1_pj_per_byte
@@ -321,12 +333,17 @@ impl AscendModel {
 }
 
 /// [`MappingCost`] adapter binding the Ascend model to `(hw, nest)`.
+/// The cache-key prefix, area and MAC count are computed once at bind
+/// time.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundAscendCost<'a> {
     model: &'a AscendModel,
     hw: AscendConfig,
     nest: LoopNest,
     cache: Option<&'a EvalCache>,
+    key_prefix: EvalKeyBuilder,
+    area_mm2: f64,
+    macs: f64,
 }
 
 impl<'a> BoundAscendCost<'a> {
@@ -337,6 +354,9 @@ impl<'a> BoundAscendCost<'a> {
             hw,
             nest,
             cache: None,
+            key_prefix: ascend_key_prefix(&hw, &nest),
+            area_mm2: model.area_mm2(&hw),
+            macs: nest.macs() as f64,
         }
     }
 
@@ -346,17 +366,18 @@ impl<'a> BoundAscendCost<'a> {
         self
     }
 
-    fn eval_key(&self, mapping: &Mapping) -> EvalKey {
-        ascend_eval_key(&self.hw, mapping, &self.nest)
+    /// The cache key of `mapping` under this binding — equal to
+    /// [`ascend_eval_key`], built from the bind-time prefix.
+    pub fn eval_key(&self, mapping: &Mapping) -> EvalKey {
+        let mut kb = self.key_prefix;
+        kb.mapping_tiles(mapping);
+        kb.finish()
     }
 
-    fn evaluate_cached(&self, mapping: &Mapping) -> Result<Ppa, EvalError> {
-        match self.cache {
-            Some(cache) => cache.get_or_compute(self.eval_key(mapping), || {
-                self.model.evaluate(&self.hw, mapping, &self.nest)
-            }),
-            None => self.model.evaluate(&self.hw, mapping, &self.nest),
-        }
+    fn evaluate(&self, mapping: &Mapping) -> Result<Ppa, EvalError> {
+        self.model
+            .evaluate_hoisted(&self.hw, mapping, &self.nest, self.area_mm2, self.macs)
+            .map(|(ppa, _)| ppa)
     }
 }
 
@@ -367,14 +388,14 @@ impl<'a> BoundAscendCost<'a> {
 /// same entry.
 pub fn ascend_eval_key(hw: &AscendConfig, mapping: &Mapping, nest: &LoopNest) -> EvalKey {
     let mut b = ascend_key_prefix(hw, nest);
-    b.mapping_tiles(mapping, nest);
+    b.mapping_tiles(mapping);
     b.finish()
 }
 
 /// The hardware + nest prefix of [`ascend_eval_key`], shared by every
-/// mapping of one `(hw, nest)` binding. Batch lookups clone it per
-/// candidate instead of re-hashing the 13 configuration words and the
-/// nest each time.
+/// mapping of one `(hw, nest)` binding. [`BoundAscendCost`] hashes it
+/// once at bind time and copies it per candidate instead of re-hashing
+/// the 13 configuration words and the nest each time.
 pub fn ascend_key_prefix(hw: &AscendConfig, nest: &LoopNest) -> EvalKeyBuilder {
     let mut b = EvalKeyBuilder::new(EngineTag::Ascend);
     for w in [
@@ -411,29 +432,19 @@ fn outcome(r: Result<Ppa, EvalError>) -> Option<MappingOutcome> {
 
 impl MappingCost for BoundAscendCost<'_> {
     fn assess(&self, mapping: &Mapping) -> Option<MappingOutcome> {
-        outcome(self.evaluate_cached(mapping))
+        outcome(match self.cache {
+            Some(cache) => cache.get_or_compute(self.eval_key(mapping), || self.evaluate(mapping)),
+            None => self.evaluate(mapping),
+        })
     }
 
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
         let Some(cache) = self.cache else {
-            // Without a cache there is nothing to amortize for the cycle
-            // model (it reads the Mapping struct directly), so fall back
-            // to the scalar loop — bitwise the same by definition.
             return mappings.iter().map(|m| self.assess(m)).collect();
         };
-        let prefix = ascend_key_prefix(&self.hw, &self.nest);
-        let keys: Vec<EvalKey> = mappings
-            .iter()
-            .map(|m| {
-                let mut kb = prefix.clone();
-                kb.mapping_tiles(m, &self.nest);
-                kb.finish()
-            })
-            .collect();
+        let keys: Vec<EvalKey> = mappings.iter().map(|m| self.eval_key(m)).collect();
         cache
-            .get_or_compute_batch(&keys, |i| {
-                self.model.evaluate(&self.hw, &mappings[i], &self.nest)
-            })
+            .get_or_compute_batch(&keys, |i| self.evaluate(&mappings[i]))
             .into_iter()
             .map(outcome)
             .collect()

@@ -58,9 +58,9 @@ pub trait MappingCost {
     /// Scores a whole batch of candidates, element `i` of the result
     /// corresponding to `mappings[i]`.
     ///
-    /// The default loops [`MappingCost::assess`]; PPA-backed adapters
-    /// override it with a structure-of-arrays path that amortizes
-    /// per-batch invariants and cache locking. Overrides must return
+    /// The default loops [`MappingCost::assess`]; cache-backed adapters
+    /// override it to take each cache shard's lock once per batch
+    /// instead of once per candidate. Overrides must return
     /// exactly what per-candidate `assess` calls in slice order would —
     /// searchers rely on this for bitwise-reproducible runs.
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {

@@ -1,14 +1,12 @@
 //! The MAESTRO-like analytical PPA model.
 
 use unico_autodiff::Scalar;
-use unico_mapping::{
-    CanonicalMapping, Mapping, MappingCost, MappingOutcome, RelaxedGrad, RelaxedPoint,
-};
+use unico_mapping::{Mapping, MappingCost, MappingOutcome, RelaxedGrad, RelaxedPoint};
 use unico_workloads::{Dim, LoopNest};
 
-use crate::batch::MappingBatch;
+use crate::batch::MappingRow;
 use crate::evalcache::{
-    spatial_eval_key, spatial_key_prefix, EngineTag, EvalCache, EvalKey, EvalResult,
+    spatial_key_prefix, EngineTag, EvalCache, EvalKey, EvalKeyBuilder, EvalResult,
 };
 use crate::hw::{Dataflow, HwConfig};
 use crate::ppa::{EvalError, Ppa};
@@ -235,8 +233,8 @@ impl AnalyticalModel {
 
     /// Evaluates PPA, returning the detailed breakdown too.
     ///
-    /// Internally a batch of one: the evaluation body runs over a
-    /// [`MappingBatch`] row, so scalar and batched results are bitwise
+    /// Derives the candidate's [`MappingRow`] on the stack and runs the
+    /// shared row body, so scalar and batched results are bitwise
     /// identical by construction.
     ///
     /// # Errors
@@ -250,25 +248,15 @@ impl AnalyticalModel {
         mapping: &Mapping,
         nest: &LoopNest,
     ) -> Result<(Ppa, EvalBreakdown), EvalError> {
-        let batch = MappingBatch::build(std::iter::once(mapping), nest, self.tech.bytes_per_elem);
-        self.evaluate_row(hw, &batch, 0, self.area_mm2(hw), nest.macs() as f64)
+        let row = MappingRow::derive(mapping, nest, self.tech.bytes_per_elem);
+        self.evaluate_row(hw, &row, nest, self.area_mm2(hw), nest.macs() as f64)
     }
 
-    /// Evaluates every row of a candidate batch, hoisting the
-    /// per-`(hw, nest)` invariants (silicon area, MAC count) out of the
-    /// per-candidate loop.
-    pub fn evaluate_batch(&self, hw: &HwConfig, batch: &MappingBatch) -> Vec<EvalResult> {
-        let area = self.area_mm2(hw);
-        let macs = batch.nest().macs() as f64;
-        (0..batch.len())
-            .map(|i| self.evaluate_row(hw, batch, i, area, macs).map(|(p, _)| p))
-            .collect()
-    }
-
-    /// Evaluates batch row `i` given the hoisted invariants: `area_mm2`
-    /// must be `self.area_mm2(hw)` and `macs` the nest's MAC count as
-    /// `f64` — both depend only on `(hw, nest)`, so passing them in
-    /// changes no bits relative to computing them per candidate.
+    /// Evaluates one candidate row against the nest it was derived from,
+    /// given the hoisted invariants: `area_mm2` must be
+    /// `self.area_mm2(hw)` and `macs` the nest's MAC count as `f64` —
+    /// both depend only on `(hw, nest)`, so passing them in changes no
+    /// bits relative to computing them per candidate.
     ///
     /// # Errors
     ///
@@ -276,26 +264,25 @@ impl AnalyticalModel {
     ///
     /// # Panics
     ///
-    /// Panics if the batch was built with a different element width than
+    /// Panics if the row was derived with a different element width than
     /// this model's technology parameters.
     pub fn evaluate_row(
         &self,
         hw: &HwConfig,
-        batch: &MappingBatch,
-        i: usize,
+        row: &MappingRow,
+        nest: &LoopNest,
         area_mm2: f64,
         macs: f64,
     ) -> Result<(Ppa, EvalBreakdown), EvalError> {
         let t = &self.tech;
         assert_eq!(
-            batch.bytes_per_elem(),
+            row.bytes_per_elem(),
             t.bytes_per_elem,
-            "batch built for a different element width"
+            "row derived for a different element width"
         );
-        let nest = batch.nest();
 
-        let (sd1, sd2) = batch.spatial(i);
-        let l1_tile = batch.l1_tile(i);
+        let (sd1, sd2) = row.spatial();
+        let l1_tile = row.l1_tile();
         let e1 = l1_tile[sd1.index()];
         let e2 = l1_tile[sd2.index()];
         if e1 == 1 && e2 == 1 && hw.num_pes() > 1 {
@@ -304,7 +291,7 @@ impl AnalyticalModel {
         let active_pes = e1.min(u64::from(hw.pe_x())) * e2.min(u64::from(hw.pe_y()));
 
         // --- Buffer feasibility (double buffered). ---
-        let fp1 = batch.l1_footprint(i);
+        let fp1 = row.l1_footprint();
         let per_pe = fp1.total().div_ceil(active_pes) * 2;
         if per_pe > hw.l1_bytes() {
             return Err(EvalError::L1Overflow {
@@ -312,7 +299,7 @@ impl AnalyticalModel {
                 available: hw.l1_bytes(),
             });
         }
-        let fp2 = batch.l2_footprint(i);
+        let fp2 = row.l2_footprint();
         let l2_need = fp2.total() * 2;
         if l2_need > hw.l2_bytes() {
             return Err(EvalError::L2Overflow {
@@ -322,8 +309,8 @@ impl AnalyticalModel {
         }
 
         // --- Compute time. ---
-        let t2 = batch.num_l2_tiles(i) as f64;
-        let t1 = batch.num_l1_tiles_per_l2(i) as f64;
+        let t2 = row.num_l2_tiles() as f64;
+        let t1 = row.num_l1_tiles_per_l2() as f64;
         let mut serial: u64 = 1;
         for d in Dim::ALL {
             if d != sd1 && d != sd2 {
@@ -335,9 +322,9 @@ impl AnalyticalModel {
             * serial as f64;
 
         // --- Reuse structure (integer-exact), then the shared core. ---
-        let l1_trips = batch.l1_trips(i);
-        let l2_trips = batch.l2_trips(i);
-        let order = batch.order(i);
+        let l1_trips = row.l1_trips();
+        let l2_trips = row.l2_trips();
+        let order = row.order();
         let stationary = match hw.dataflow() {
             Dataflow::WeightStationary => TensorKind::Weight,
             Dataflow::OutputStationary => TensorKind::Output,
@@ -458,6 +445,12 @@ pub(crate) fn outcome_of(
 
 /// A [`MappingCost`] adapter binding the analytical model to a fixed
 /// hardware configuration and loop nest.
+///
+/// Everything that depends only on `(hw, nest)` — the cache-key prefix,
+/// the silicon area and the MAC count — is computed once at bind time,
+/// so a per-candidate `assess` hashes the mapping onto a copied prefix
+/// and, on a miss, evaluates a stack-derived [`MappingRow`]: no heap
+/// allocation either way.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundSpatialCost<'a> {
     model: &'a AnalyticalModel,
@@ -466,6 +459,9 @@ pub struct BoundSpatialCost<'a> {
     eval_cost_s: f64,
     objective: MappingObjective,
     cache: Option<&'a EvalCache>,
+    key_prefix: EvalKeyBuilder,
+    area_mm2: f64,
+    macs: f64,
 }
 
 impl<'a> BoundSpatialCost<'a> {
@@ -480,6 +476,9 @@ impl<'a> BoundSpatialCost<'a> {
             eval_cost_s,
             objective: MappingObjective::Latency,
             cache: None,
+            key_prefix: spatial_key_prefix(EngineTag::DataCentric, &hw, &nest),
+            area_mm2: model.area_mm2(&hw),
+            macs: nest.macs() as f64,
         }
     }
 
@@ -496,72 +495,40 @@ impl<'a> BoundSpatialCost<'a> {
         self
     }
 
-    fn evaluate_cached(&self, mapping: &Mapping) -> Result<Ppa, EvalError> {
-        match self.cache {
-            Some(cache) => cache.get_or_compute(
-                spatial_eval_key(
-                    EngineTag::DataCentric,
-                    &self.hw,
-                    mapping,
-                    &self.nest,
-                    self.objective,
-                ),
-                || self.model.evaluate(&self.hw, mapping, &self.nest),
-            ),
-            None => self.model.evaluate(&self.hw, mapping, &self.nest),
-        }
+    /// The cache key of `mapping` under this binding — equal to
+    /// [`spatial_eval_key`](crate::spatial_eval_key) with
+    /// [`EngineTag::DataCentric`], built from the bind-time prefix.
+    pub fn eval_key(&self, mapping: &Mapping) -> EvalKey {
+        let mut kb = self.key_prefix;
+        kb.mapping_full(mapping, &self.nest)
+            .objective(self.objective);
+        kb.finish()
+    }
+
+    fn evaluate(&self, mapping: &Mapping) -> EvalResult {
+        let row = MappingRow::derive(mapping, &self.nest, self.model.tech.bytes_per_elem);
+        self.model
+            .evaluate_row(&self.hw, &row, &self.nest, self.area_mm2, self.macs)
+            .map(|(p, _)| p)
     }
 }
 
 impl MappingCost for BoundSpatialCost<'_> {
     fn assess(&self, mapping: &Mapping) -> Option<MappingOutcome> {
-        outcome_of(self.evaluate_cached(mapping), self.objective)
+        let r = match self.cache {
+            Some(cache) => cache.get_or_compute(self.eval_key(mapping), || self.evaluate(mapping)),
+            None => self.evaluate(mapping),
+        };
+        outcome_of(r, self.objective)
     }
 
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        if mappings.is_empty() {
-            return Vec::new();
-        }
-        let area = self.model.area_mm2(&self.hw);
-        let macs = self.nest.macs() as f64;
         let results: Vec<EvalResult> = match self.cache {
             Some(cache) => {
-                // Keys hash straight off the mappings (same bytes as
-                // the scalar `spatial_eval_key`, with the hw+nest
-                // prefix amortized across the batch); the SoA batch is
-                // only built if some key actually misses, so a warm
-                // cache pays for lookups alone.
-                let prefix = spatial_key_prefix(EngineTag::DataCentric, &self.hw, &self.nest);
-                let keys: Vec<EvalKey> = mappings
-                    .iter()
-                    .map(|m| {
-                        let mut kb = prefix.clone();
-                        kb.write_with(|h| CanonicalMapping::hash_mapping_into(m, &self.nest, h))
-                            .objective(self.objective);
-                        kb.finish()
-                    })
-                    .collect();
-                let batch = std::cell::OnceCell::new();
-                cache.get_or_compute_batch(&keys, |i| {
-                    let batch = batch.get_or_init(|| {
-                        MappingBatch::build(mappings, &self.nest, self.model.tech.bytes_per_elem)
-                    });
-                    self.model
-                        .evaluate_row(&self.hw, batch, i, area, macs)
-                        .map(|(p, _)| p)
-                })
+                let keys: Vec<EvalKey> = mappings.iter().map(|m| self.eval_key(m)).collect();
+                cache.get_or_compute_batch(&keys, |i| self.evaluate(&mappings[i]))
             }
-            None => {
-                let batch =
-                    MappingBatch::build(mappings, &self.nest, self.model.tech.bytes_per_elem);
-                (0..batch.len())
-                    .map(|i| {
-                        self.model
-                            .evaluate_row(&self.hw, &batch, i, area, macs)
-                            .map(|(p, _)| p)
-                    })
-                    .collect()
-            }
+            None => mappings.iter().map(|m| self.evaluate(m)).collect(),
         };
         results
             .into_iter()

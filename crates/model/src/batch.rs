@@ -1,108 +1,62 @@
-//! Structure-of-arrays candidate batches for the PPA engines.
+//! Per-candidate derived quantities for the spatial PPA engines.
 //!
-//! The mapping searchers assess candidates in phases (a random chunk, a
-//! genetic generation, an SH round), and every per-candidate evaluation
-//! re-derives the same handful of quantities from the pointer-heavy
-//! [`Mapping`] struct: tile extents, trip counts, footprints, tile
-//! counts, the temporal order and its canonical form. [`MappingBatch`]
-//! derives all of them **once per candidate** into flat, contiguous
-//! arrays; both spatial engines then evaluate rows straight out of the
-//! batch, and the cache-key builder hashes rows without materializing a
-//! [`CanonicalMapping`](unico_mapping::CanonicalMapping) on the heap.
+//! Every evaluation of a [`Mapping`] against a [`LoopNest`] needs the
+//! same handful of quantities derived from it: L1 tile extents, trip
+//! counts, tile counts, footprints and the temporal order.
+//! [`MappingRow`] holds them for one candidate. It is `Copy` and lives
+//! on the stack, so the per-candidate `assess` path derives a row,
+//! evaluates it and drops it without touching the heap.
 //!
-//! Scalar evaluation reuses the exact same row path (a batch of one), so
-//! batched and scalar results are bitwise identical by construction —
-//! the differential test layer in `tests/batch_differential.rs` pins
-//! this.
+//! The engines' row bodies (`AnalyticalModel::evaluate_row`,
+//! `LoopCentricModel::evaluate_row`, and the fused-member pricing built
+//! on the former) take a `&MappingRow` plus the nest. Scalar and batched
+//! evaluation therefore run literally the same body: a batch is assessed
+//! one stack row at a time, with no per-field arrays. The differential
+//! suite in `tests/batch_differential.rs` pins scalar, batched and
+//! detailed evaluation to the same bits.
+//!
+//! Cache keys are not derived from rows: the bound costs hash straight
+//! off the mapping (see `EvalKeyBuilder::mapping_full`), so a warm cache
+//! hit never derives a row at all.
 
-use unico_mapping::{CanonicalMapping, Footprint, Mapping, StableHasher};
+use unico_mapping::{Footprint, Mapping};
 use unico_workloads::{Dim, LoopNest, DIM_COUNT};
 
-/// A batch of mapping candidates for one `(nest, technology)` pair,
-/// flattened into per-field arrays indexed by candidate row.
-#[derive(Debug, Clone)]
-pub struct MappingBatch {
-    nest: LoopNest,
+/// One candidate's derived quantities against a fixed nest and element
+/// width. Derived once by [`MappingRow::derive`]; every field is a pure
+/// function of `(mapping, nest, bytes_per_elem)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MappingRow {
     bytes_per_elem: u64,
-    spatial: Vec<(Dim, Dim)>,
-    l2_tile: Vec<[u64; DIM_COUNT]>,
-    l1_tile: Vec<[u64; DIM_COUNT]>,
-    order: Vec<[Dim; DIM_COUNT]>,
-    l1_trips: Vec<[u64; DIM_COUNT]>,
-    l2_trips: Vec<[u64; DIM_COUNT]>,
-    num_l2_tiles: Vec<u64>,
-    num_l1_tiles_per_l2: Vec<u64>,
-    fp1: Vec<Footprint>,
-    fp2: Vec<Footprint>,
-    canon_order: Vec<[Dim; DIM_COUNT]>,
-    canon_len: Vec<u8>,
+    spatial: (Dim, Dim),
+    l1_tile: [u64; DIM_COUNT],
+    order: [Dim; DIM_COUNT],
+    l1_trips: [u64; DIM_COUNT],
+    l2_trips: [u64; DIM_COUNT],
+    num_l2_tiles: u64,
+    num_l1_tiles_per_l2: u64,
+    fp1: Footprint,
+    fp2: Footprint,
 }
 
-impl MappingBatch {
-    /// Derives the batch arrays from `mappings` against `nest`, with
-    /// footprints in bytes at `bytes_per_elem` per tensor element.
-    pub fn build<'m>(
-        mappings: impl IntoIterator<Item = &'m Mapping>,
-        nest: &LoopNest,
-        bytes_per_elem: u64,
-    ) -> Self {
-        let mut b = MappingBatch {
-            nest: *nest,
+impl MappingRow {
+    /// Derives `mapping`'s row against `nest`, with footprints in bytes
+    /// at `bytes_per_elem` per tensor element.
+    pub fn derive(mapping: &Mapping, nest: &LoopNest, bytes_per_elem: u64) -> Self {
+        let l1_trips = mapping.l1_trip_counts();
+        let l2_trips = mapping.l2_trip_counts(nest);
+        MappingRow {
             bytes_per_elem,
-            spatial: Vec::new(),
-            l2_tile: Vec::new(),
-            l1_tile: Vec::new(),
-            order: Vec::new(),
-            l1_trips: Vec::new(),
-            l2_trips: Vec::new(),
-            num_l2_tiles: Vec::new(),
-            num_l1_tiles_per_l2: Vec::new(),
-            fp1: Vec::new(),
-            fp2: Vec::new(),
-            canon_order: Vec::new(),
-            canon_len: Vec::new(),
-        };
-        for m in mappings {
-            let order = m.order();
-            let l1_trips = m.l1_trip_counts();
-            let l2_trips = m.l2_trip_counts(nest);
-            let mut canon = [Dim::N; DIM_COUNT];
-            let canon_len = CanonicalMapping::order_into(
-                &order,
-                &l1_trips,
-                &l2_trips,
-                nest.is_depthwise(),
-                &mut canon,
-            );
-            b.spatial.push(m.spatial());
-            b.l2_tile.push(m.l2_tile());
-            b.l1_tile.push(m.l1_tile());
-            b.order.push(order);
-            b.l1_trips.push(l1_trips);
-            b.l2_trips.push(l2_trips);
-            b.num_l2_tiles.push(m.num_l2_tiles(nest));
-            b.num_l1_tiles_per_l2.push(m.num_l1_tiles_per_l2());
-            b.fp1.push(m.l1_footprint(nest, bytes_per_elem));
-            b.fp2.push(m.l2_footprint(nest, bytes_per_elem));
-            b.canon_order.push(canon);
-            b.canon_len.push(canon_len as u8);
+            spatial: mapping.spatial(),
+            l1_tile: mapping.l1_tile(),
+            order: mapping.order(),
+            num_l2_tiles: l2_trips.iter().product(),
+            num_l1_tiles_per_l2: l1_trips.iter().product(),
+            l1_trips,
+            l2_trips,
+            fp1: mapping.l1_footprint(nest, bytes_per_elem),
+            fp2: mapping.l2_footprint(nest, bytes_per_elem),
         }
-        b
-    }
-
-    /// Number of candidate rows.
-    pub fn len(&self) -> usize {
-        self.spatial.len()
-    }
-
-    /// `true` when the batch holds no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.spatial.is_empty()
-    }
-
-    /// The loop nest the batch was derived against.
-    pub fn nest(&self) -> &LoopNest {
-        &self.nest
     }
 
     /// Bytes per tensor element the footprints were derived with.
@@ -110,76 +64,49 @@ impl MappingBatch {
         self.bytes_per_elem
     }
 
-    /// Spatially unrolled dims of row `i`.
-    pub fn spatial(&self, i: usize) -> (Dim, Dim) {
-        self.spatial[i]
+    /// Spatially unrolled dims.
+    pub fn spatial(&self) -> (Dim, Dim) {
+        self.spatial
     }
 
-    /// L1 tile extents of row `i`.
-    pub fn l1_tile(&self, i: usize) -> &[u64; DIM_COUNT] {
-        &self.l1_tile[i]
+    /// L1 tile extents.
+    pub fn l1_tile(&self) -> &[u64; DIM_COUNT] {
+        &self.l1_tile
     }
 
-    /// Temporal loop order of row `i` (verbatim, not canonicalized).
-    pub fn order(&self, i: usize) -> &[Dim; DIM_COUNT] {
-        &self.order[i]
+    /// Temporal loop order (verbatim, not canonicalized).
+    pub fn order(&self) -> &[Dim; DIM_COUNT] {
+        &self.order
     }
 
-    /// L1-level trip counts of row `i`.
-    pub fn l1_trips(&self, i: usize) -> &[u64; DIM_COUNT] {
-        &self.l1_trips[i]
+    /// L1-level trip counts.
+    pub fn l1_trips(&self) -> &[u64; DIM_COUNT] {
+        &self.l1_trips
     }
 
-    /// L2-level trip counts of row `i`.
-    pub fn l2_trips(&self, i: usize) -> &[u64; DIM_COUNT] {
-        &self.l2_trips[i]
+    /// L2-level trip counts.
+    pub fn l2_trips(&self) -> &[u64; DIM_COUNT] {
+        &self.l2_trips
     }
 
-    /// Number of L2 tiles of row `i`.
-    pub fn num_l2_tiles(&self, i: usize) -> u64 {
-        self.num_l2_tiles[i]
+    /// Number of L2 tiles.
+    pub fn num_l2_tiles(&self) -> u64 {
+        self.num_l2_tiles
     }
 
-    /// Number of L1 tiles per L2 tile of row `i`.
-    pub fn num_l1_tiles_per_l2(&self, i: usize) -> u64 {
-        self.num_l1_tiles_per_l2[i]
+    /// Number of L1 tiles per L2 tile.
+    pub fn num_l1_tiles_per_l2(&self) -> u64 {
+        self.num_l1_tiles_per_l2
     }
 
-    /// L1 working-set footprint of row `i`, in bytes.
-    pub fn l1_footprint(&self, i: usize) -> Footprint {
-        self.fp1[i]
+    /// L1 working-set footprint, in bytes.
+    pub fn l1_footprint(&self) -> Footprint {
+        self.fp1
     }
 
-    /// L2 working-set footprint of row `i`, in bytes.
-    pub fn l2_footprint(&self, i: usize) -> Footprint {
-        self.fp2[i]
-    }
-
-    /// Feeds row `i`'s full canonical mapping (tiles, canonical order,
-    /// spatial dims) into a [`StableHasher`] — byte-identical to
-    /// [`CanonicalMapping::hash_into`](unico_mapping::CanonicalMapping::hash_into)
-    /// on the same mapping, without materializing the canonical form.
-    pub fn hash_full_into(&self, i: usize, h: &mut StableHasher) {
-        self.hash_tiles_into(i, h);
-        let len = usize::from(self.canon_len[i]);
-        h.write_u64(len as u64);
-        for d in &self.canon_order[i][..len] {
-            h.write_u8(d.index() as u8);
-        }
-        h.write_u8(self.spatial[i].0.index() as u8);
-        h.write_u8(self.spatial[i].1.index() as u8);
-    }
-
-    /// Feeds only row `i`'s tile extents into a [`StableHasher`] —
-    /// byte-identical to
-    /// [`CanonicalMapping::hash_tiles_into`](unico_mapping::CanonicalMapping::hash_tiles_into).
-    pub fn hash_tiles_into(&self, i: usize, h: &mut StableHasher) {
-        for t in self.l2_tile[i] {
-            h.write_u64(t);
-        }
-        for t in self.l1_tile[i] {
-            h.write_u64(t);
-        }
+    /// L2 working-set footprint, in bytes.
+    pub fn l2_footprint(&self) -> Footprint {
+        self.fp2
     }
 }
 
@@ -207,8 +134,6 @@ mod tests {
         l1[Dim::K.index()] = 4;
         l1[Dim::Y.index()] = 2;
         let m1 = Mapping::new(n, n.extents(), l1, Dim::ALL, (Dim::K, Dim::Y));
-        // A second candidate with a scrambled order exercising run
-        // sorting in the canonical hash.
         let order = [Dim::K, Dim::S, Dim::R, Dim::Y, Dim::C, Dim::X, Dim::N];
         let m2 = Mapping::new(n, n.extents(), l1, order, (Dim::K, Dim::Y));
         vec![m1, m2, Mapping::identity(n)]
@@ -217,39 +142,18 @@ mod tests {
     #[test]
     fn rows_mirror_per_mapping_derivations() {
         let n = nest();
-        let ms = mappings(&n);
-        let b = MappingBatch::build(&ms, &n, 2);
-        assert_eq!(b.len(), ms.len());
-        for (i, m) in ms.iter().enumerate() {
-            assert_eq!(b.spatial(i), m.spatial());
-            assert_eq!(b.l1_tile(i), &m.l1_tile());
-            assert_eq!(b.order(i), &m.order());
-            assert_eq!(b.l1_trips(i), &m.l1_trip_counts());
-            assert_eq!(b.l2_trips(i), &m.l2_trip_counts(&n));
-            assert_eq!(b.num_l2_tiles(i), m.num_l2_tiles(&n));
-            assert_eq!(b.num_l1_tiles_per_l2(i), m.num_l1_tiles_per_l2());
-            assert_eq!(b.l1_footprint(i), m.l1_footprint(&n, 2));
-            assert_eq!(b.l2_footprint(i), m.l2_footprint(&n, 2));
-        }
-    }
-
-    #[test]
-    fn row_hash_matches_canonical_mapping_hash() {
-        let n = nest();
-        let ms = mappings(&n);
-        let b = MappingBatch::build(&ms, &n, 2);
-        for (i, m) in ms.iter().enumerate() {
-            let canon = CanonicalMapping::of(m, &n);
-            let mut expect = StableHasher::new();
-            canon.hash_into(&mut expect);
-            let mut got = StableHasher::new();
-            b.hash_full_into(i, &mut got);
-            assert_eq!(got.finish128(), expect.finish128(), "row {i} full hash");
-            let mut expect = StableHasher::new();
-            canon.hash_tiles_into(&mut expect);
-            let mut got = StableHasher::new();
-            b.hash_tiles_into(i, &mut got);
-            assert_eq!(got.finish128(), expect.finish128(), "row {i} tiles hash");
+        for m in &mappings(&n) {
+            let r = MappingRow::derive(m, &n, 2);
+            assert_eq!(r.bytes_per_elem(), 2);
+            assert_eq!(r.spatial(), m.spatial());
+            assert_eq!(r.l1_tile(), &m.l1_tile());
+            assert_eq!(r.order(), &m.order());
+            assert_eq!(r.l1_trips(), &m.l1_trip_counts());
+            assert_eq!(r.l2_trips(), &m.l2_trip_counts(&n));
+            assert_eq!(r.num_l2_tiles(), m.num_l2_tiles(&n));
+            assert_eq!(r.num_l1_tiles_per_l2(), m.num_l1_tiles_per_l2());
+            assert_eq!(r.l1_footprint(), m.l1_footprint(&n, 2));
+            assert_eq!(r.l2_footprint(), m.l2_footprint(&n, 2));
         }
     }
 }

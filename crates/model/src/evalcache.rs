@@ -117,11 +117,11 @@ impl EngineTag {
 /// ([`EvalKeyBuilder::mapping_tiles`]) since the cycle model is blind to
 /// temporal order and spatial placement.
 ///
-/// The builder is `Clone` (the underlying hasher state is two words), so
-/// batched key building hashes the shared `(engine, hardware, nest)`
-/// prefix once and forks a copy per candidate — the byte stream, and
+/// The builder is `Copy` (the underlying hasher state is two words), so
+/// the bound costs hash the shared `(engine, hardware, nest)` prefix
+/// once at bind time and copy it per candidate — the byte stream, and
 /// therefore the key, is identical to building each key from scratch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct EvalKeyBuilder {
     h: StableHasher,
 }
@@ -153,28 +153,25 @@ impl EvalKeyBuilder {
     }
 
     /// Feeds the full canonical mapping (tiles, canonical order,
-    /// spatial dims) — for order-sensitive engines. Materializes the
-    /// canonical form; the batched key builders stream the identical
-    /// bytes allocation-free via
-    /// [`CanonicalMapping::hash_mapping_into`] instead.
+    /// spatial dims) — for order-sensitive engines. Streams the bytes of
+    /// [`CanonicalMapping::hash_into`] without materializing the
+    /// canonical form (see [`CanonicalMapping::hash_mapping_into`]).
     pub fn mapping_full(&mut self, mapping: &Mapping, nest: &LoopNest) -> &mut Self {
-        CanonicalMapping::of(mapping, nest).hash_into(&mut self.h);
+        CanonicalMapping::hash_mapping_into(mapping, nest, &mut self.h);
         self
     }
 
     /// Feeds only the tile extents — for engines blind to order and
-    /// spatial placement.
-    pub fn mapping_tiles(&mut self, mapping: &Mapping, nest: &LoopNest) -> &mut Self {
-        CanonicalMapping::of(mapping, nest).hash_tiles_into(&mut self.h);
-        self
-    }
-
-    /// Feeds arbitrary bytes through a caller-provided closure over the
-    /// raw hasher — the batched structure-of-arrays path hashes mapping
-    /// rows directly (see `MappingBatch::hash_full_into`) without
-    /// materializing a `CanonicalMapping`.
-    pub fn write_with(&mut self, f: impl FnOnce(&mut StableHasher)) -> &mut Self {
-        f(&mut self.h);
+    /// spatial placement. The bytes of
+    /// [`CanonicalMapping::hash_tiles_into`]: canonicalization keeps
+    /// tiles verbatim, so they stream straight off the mapping.
+    pub fn mapping_tiles(&mut self, mapping: &Mapping) -> &mut Self {
+        for t in mapping.l2_tile() {
+            self.h.write_u64(t);
+        }
+        for t in mapping.l1_tile() {
+            self.h.write_u64(t);
+        }
         self
     }
 
@@ -194,9 +191,9 @@ impl EvalKeyBuilder {
 }
 
 /// The shared `(engine, hardware, nest)` key prefix of
-/// [`spatial_eval_key`]. Batched lookups build this once per batch and
-/// clone it per candidate; the scalar path goes through it too, so the
-/// two paths hash one byte stream by construction.
+/// [`spatial_eval_key`]. The bound costs build it once at bind time and
+/// copy it per candidate, so every key of a binding hashes one byte
+/// stream with the reference key by construction.
 pub fn spatial_key_prefix(tag: EngineTag, hw: &HwConfig, nest: &LoopNest) -> EvalKeyBuilder {
     let mut b = EvalKeyBuilder::new(tag);
     b.word(u64::from(hw.pe_x()))
@@ -308,10 +305,38 @@ impl std::hash::BuildHasher for PassThroughState {
 #[derive(Debug, Default)]
 struct ShardMap {
     entries: HashMap<EvalKey, EvalResult, PassThroughState>,
+    /// Insertion order for FIFO eviction; kept by capped caches only.
     fifo: VecDeque<EvalKey>,
 }
 
+impl ShardMap {
+    /// Inserts a fresh entry. Under a capacity the key joins the FIFO
+    /// and the oldest entries are evicted down to `cap`; returns the
+    /// number evicted. An uncapped shard never evicts, so it keeps no
+    /// FIFO at all.
+    fn insert(&mut self, key: EvalKey, v: EvalResult, cap: Option<usize>) -> u64 {
+        self.entries.insert(key, v);
+        let Some(cap) = cap else {
+            return 0;
+        };
+        self.fifo.push_back(key);
+        let mut evicted = 0;
+        while self.entries.len() > cap {
+            let Some(old) = self.fifo.pop_front() else {
+                break;
+            };
+            self.entries.remove(&old);
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+/// One lock stripe. Aligned to 128 bytes (two cache lines, the span the
+/// adjacent-line prefetcher pulls together) so neighbouring shards'
+/// lock and counter words never share a line.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct Shard {
     map: Mutex<ShardMap>,
     hits: AtomicU64,
@@ -471,15 +496,9 @@ impl EvalCache {
                 v
             }
         };
-        map.entries.insert(key, v);
-        map.fifo.push_back(key);
-        if let Some(cap) = self.capacity_per_shard {
-            while map.entries.len() > cap {
-                if let Some(old) = map.fifo.pop_front() {
-                    map.entries.remove(&old);
-                    shard.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let evicted = map.insert(key, v, self.capacity_per_shard);
+        if evicted > 0 {
+            shard.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         v
     }
@@ -544,16 +563,7 @@ impl EvalCache {
                         v
                     }
                 };
-                map.entries.insert(key, v);
-                map.fifo.push_back(key);
-                if let Some(cap) = self.capacity_per_shard {
-                    while map.entries.len() > cap {
-                        if let Some(old) = map.fifo.pop_front() {
-                            map.entries.remove(&old);
-                            evictions += 1;
-                        }
-                    }
-                }
+                evictions += map.insert(key, v, self.capacity_per_shard);
                 out[i] = Some(v);
             }
             drop(map);
@@ -662,8 +672,7 @@ impl EvalCache {
         for (key, value) in entries {
             let shard = &cache.shards[key.shard()];
             let mut map = shard.map.lock().expect("evalcache shard poisoned");
-            map.entries.insert(key, value);
-            map.fifo.push_back(key);
+            map.insert(key, value, cache.capacity_per_shard);
         }
         Ok(cache)
     }
@@ -688,8 +697,12 @@ impl EvalCache {
                 if dst_map.entries.contains_key(k) {
                     continue;
                 }
+                // Loading never evicts: a capped cache may exceed its
+                // capacity until its next fresh insert trims it.
                 dst_map.entries.insert(*k, *v);
-                dst_map.fifo.push_back(*k);
+                if self.capacity_per_shard.is_some() {
+                    dst_map.fifo.push_back(*k);
+                }
                 drop(dst_map);
                 // Resume repopulates the disk tier too: entries the
                 // interrupted run computed but never flushed become
@@ -924,6 +937,94 @@ mod tests {
         // Oldest two were evicted; newest two still resident.
         assert!(cache.get(key(base)).is_none());
         assert!(cache.get(key(base | 3)).is_some());
+    }
+
+    #[test]
+    fn only_capped_caches_keep_a_fifo() {
+        let fifo_len = |c: &EvalCache| -> usize {
+            c.shards
+                .iter()
+                .map(|s| s.map.lock().expect("shard").fifo.len())
+                .sum()
+        };
+        let keys: Vec<EvalKey> = (0..40u128).map(|i| key((i << 64) | i)).collect();
+        let trace = {
+            let c = EvalCache::new();
+            for k in &keys[..20] {
+                let _ = c.get_or_compute(*k, || ppa(1.0));
+            }
+            let _ = c.get_or_compute_batch(&keys[20..], |_| ppa(1.0));
+            assert_eq!(c.len(), 40);
+            assert_eq!(fifo_len(&c), 0, "uncapped cache must keep no FIFO");
+            c.to_trace()
+        };
+        let loaded = EvalCache::new();
+        assert_eq!(loaded.load_trace(&trace), Ok(40));
+        assert_eq!(fifo_len(&loaded), 0);
+        assert_eq!(fifo_len(&EvalCache::from_trace(&trace).expect("parse")), 0);
+
+        let capped = EvalCache::with_capacity_per_shard(64);
+        for k in &keys {
+            let _ = capped.get_or_compute(*k, || ppa(1.0));
+        }
+        assert_eq!(fifo_len(&capped), 40);
+    }
+
+    #[test]
+    fn shards_do_not_share_cache_lines() {
+        assert_eq!(std::mem::size_of::<Shard>(), 128);
+        assert_eq!(std::mem::align_of::<Shard>(), 128);
+    }
+
+    #[test]
+    fn streamed_mapping_bytes_match_the_canonical_form() {
+        use unico_workloads::{Dim, TensorOp};
+        let nests = [
+            TensorOp::Conv2d {
+                n: 1,
+                k: 16,
+                c: 8,
+                y: 8,
+                x: 8,
+                r: 3,
+                s: 3,
+                stride: 1,
+            }
+            .to_loop_nest(),
+            TensorOp::DepthwiseConv2d {
+                n: 1,
+                c: 16,
+                y: 8,
+                x: 8,
+                r: 3,
+                s: 3,
+                stride: 1,
+            }
+            .to_loop_nest(),
+        ];
+        for n in &nests {
+            let mut l1 = [1u64; 7];
+            l1[Dim::K.index()] = 4;
+            l1[Dim::Y.index()] = 2;
+            let order = [Dim::K, Dim::S, Dim::R, Dim::Y, Dim::C, Dim::X, Dim::N];
+            for m in [
+                Mapping::new(n, n.extents(), l1, order, (Dim::K, Dim::Y)),
+                Mapping::new(n, n.extents(), l1, Dim::ALL, (Dim::Y, Dim::K)),
+                Mapping::identity(n),
+            ] {
+                let canon = CanonicalMapping::of(&m, n);
+                let mut want = EvalKeyBuilder::new(EngineTag::DataCentric);
+                canon.hash_into(&mut want.h);
+                let mut got = EvalKeyBuilder::new(EngineTag::DataCentric);
+                got.mapping_full(&m, n);
+                assert_eq!(got.finish(), want.finish(), "full canonical bytes");
+                let mut want = EvalKeyBuilder::new(EngineTag::Ascend);
+                canon.hash_tiles_into(&mut want.h);
+                let mut got = EvalKeyBuilder::new(EngineTag::Ascend);
+                got.mapping_tiles(&m);
+                assert_eq!(got.finish(), want.finish(), "tile bytes");
+            }
+        }
     }
 
     #[test]

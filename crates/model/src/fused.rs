@@ -22,7 +22,7 @@ use unico_mapping::{FusionGain, FusionOracle, Mapping};
 use unico_workloads::{FusionEdge, LoopNest};
 
 use crate::analytical::AnalyticalModel;
-use crate::batch::MappingBatch;
+use crate::batch::MappingRow;
 use crate::evalcache::{spatial_key_prefix, EngineTag, EvalKey};
 use crate::hw::HwConfig;
 use crate::ppa::{EvalError, Ppa};
@@ -113,11 +113,11 @@ impl AnalyticalModel {
         resident_elems: u64,
     ) -> Result<FusedMemberCost, EvalError> {
         let t = self.tech();
-        let batch = MappingBatch::build(std::iter::once(mapping), nest, t.bytes_per_elem);
+        let row = MappingRow::derive(mapping, nest, t.bytes_per_elem);
         let area = self.area_mm2(hw);
-        let (ppa, bd) = self.evaluate_row(hw, &batch, 0, area, nest.macs() as f64)?;
+        let (ppa, bd) = self.evaluate_row(hw, &row, nest, area, nest.macs() as f64)?;
 
-        let fp2 = batch.l2_footprint(0);
+        let fp2 = row.l2_footprint();
         let resident_bytes = resident_elems * t.bytes_per_elem;
         let required = fp2.total() * 2 + resident_bytes;
         if required > hw.l2_bytes() {
@@ -142,8 +142,8 @@ impl AnalyticalModel {
         // Rebuild the DRAM byte count with the same fold `cost_core`
         // uses (Input, Weight, Output; output pays read-modify-write
         // revisits), dropping the fused tensors' terms.
-        let l2_trips = batch.l2_trips(0);
-        let order = batch.order(0);
+        let l2_trips = row.l2_trips();
+        let order = row.order();
         let term = |tensor: TensorKind| {
             let fp = match tensor {
                 TensorKind::Input => fp2.input,
@@ -470,8 +470,7 @@ mod tests {
         // L2 just big enough for the standalone working set but not the
         // resident intermediate: fusion must fall back to singletons.
         let m = small_mapping(&n);
-        let batch = MappingBatch::build(std::iter::once(&m), &n, 2);
-        let need = batch.l2_footprint(0).total() * 2;
+        let need = MappingRow::derive(&m, &n, 2).l2_footprint().total() * 2;
         let l2_kb = need.div_ceil(1024) + 1; // < need + intermediate
         let edges = [FusionEdge {
             producer: 0,

@@ -57,7 +57,7 @@ mod tech;
 mod traffic;
 
 pub use analytical::{AnalyticalModel, BoundSpatialCost, EvalBreakdown, MappingObjective};
-pub use batch::MappingBatch;
+pub use batch::MappingRow;
 pub use disktier::{DiskTier, DiskTierStats};
 pub use evalcache::{
     spatial_eval_key, spatial_key_prefix, BatchStats, CacheStats, EngineTag, EvalCache, EvalKey,

@@ -22,13 +22,13 @@
 //! keeps them within a small factor of each other on feasible points, so
 //! either can back [`crate::SpatialPlatform`] prototyping.
 
-use unico_mapping::{CanonicalMapping, Mapping, MappingCost, MappingOutcome};
+use unico_mapping::{Mapping, MappingCost, MappingOutcome};
 use unico_workloads::{Dim, LoopNest};
 
 use crate::analytical::{outcome_of, MappingObjective};
-use crate::batch::MappingBatch;
+use crate::batch::MappingRow;
 use crate::evalcache::{
-    spatial_eval_key, spatial_key_prefix, EngineTag, EvalCache, EvalKey, EvalResult,
+    spatial_key_prefix, EngineTag, EvalCache, EvalKey, EvalKeyBuilder, EvalResult,
 };
 use crate::hw::{Dataflow, HwConfig};
 use crate::ppa::{EvalError, Ppa};
@@ -99,8 +99,8 @@ impl LoopCentricModel {
 
     /// Evaluates PPA with the per-level breakdown.
     ///
-    /// Internally a batch of one: the evaluation body runs over a
-    /// [`MappingBatch`] row, so scalar and batched results are bitwise
+    /// Derives the candidate's [`MappingRow`] on the stack and runs the
+    /// shared row body, so scalar and batched results are bitwise
     /// identical by construction.
     ///
     /// # Errors
@@ -113,25 +113,15 @@ impl LoopCentricModel {
         mapping: &Mapping,
         nest: &LoopNest,
     ) -> Result<(Ppa, LevelBreakdown), EvalError> {
-        let batch = MappingBatch::build(std::iter::once(mapping), nest, self.tech.bytes_per_elem);
-        self.evaluate_row(hw, &batch, 0, self.area_mm2(hw), nest.macs() as f64)
+        let row = MappingRow::derive(mapping, nest, self.tech.bytes_per_elem);
+        self.evaluate_row(hw, &row, nest, self.area_mm2(hw), nest.macs() as f64)
     }
 
-    /// Evaluates every row of a candidate batch, hoisting the
-    /// per-`(hw, nest)` invariants (silicon area, MAC count) out of the
-    /// per-candidate loop.
-    pub fn evaluate_batch(&self, hw: &HwConfig, batch: &MappingBatch) -> Vec<EvalResult> {
-        let area = self.area_mm2(hw);
-        let macs = batch.nest().macs() as f64;
-        (0..batch.len())
-            .map(|i| self.evaluate_row(hw, batch, i, area, macs).map(|(p, _)| p))
-            .collect()
-    }
-
-    /// Evaluates batch row `i` given the hoisted invariants: `area_mm2`
-    /// must be `self.area_mm2(hw)` and `macs` the nest's MAC count as
-    /// `f64` — both depend only on `(hw, nest)`, so passing them in
-    /// changes no bits relative to computing them per candidate.
+    /// Evaluates one candidate row against the nest it was derived from,
+    /// given the hoisted invariants: `area_mm2` must be
+    /// `self.area_mm2(hw)` and `macs` the nest's MAC count as `f64` —
+    /// both depend only on `(hw, nest)`, so passing them in changes no
+    /// bits relative to computing them per candidate.
     ///
     /// # Errors
     ///
@@ -139,26 +129,25 @@ impl LoopCentricModel {
     ///
     /// # Panics
     ///
-    /// Panics if the batch was built with a different element width than
+    /// Panics if the row was derived with a different element width than
     /// this model's technology parameters.
     pub fn evaluate_row(
         &self,
         hw: &HwConfig,
-        batch: &MappingBatch,
-        i: usize,
+        row: &MappingRow,
+        nest: &LoopNest,
         area_mm2: f64,
         macs: f64,
     ) -> Result<(Ppa, LevelBreakdown), EvalError> {
         let t = &self.tech;
         assert_eq!(
-            batch.bytes_per_elem(),
+            row.bytes_per_elem(),
             t.bytes_per_elem,
-            "batch built for a different element width"
+            "row derived for a different element width"
         );
-        let nest = batch.nest();
 
-        let (sd1, sd2) = batch.spatial(i);
-        let l1_tile = batch.l1_tile(i);
+        let (sd1, sd2) = row.spatial();
+        let l1_tile = row.l1_tile();
         let e1 = l1_tile[sd1.index()];
         let e2 = l1_tile[sd2.index()];
         if e1 == 1 && e2 == 1 && hw.num_pes() > 1 {
@@ -167,7 +156,7 @@ impl LoopCentricModel {
         let active_pes = e1.min(u64::from(hw.pe_x())) * e2.min(u64::from(hw.pe_y()));
 
         // Feasibility identical to the data-centric engine.
-        let fp1 = batch.l1_footprint(i);
+        let fp1 = row.l1_footprint();
         let per_pe = fp1.total().div_ceil(active_pes) * 2;
         if per_pe > hw.l1_bytes() {
             return Err(EvalError::L1Overflow {
@@ -175,7 +164,7 @@ impl LoopCentricModel {
                 available: hw.l1_bytes(),
             });
         }
-        let fp2 = batch.l2_footprint(i);
+        let fp2 = row.l2_footprint();
         if fp2.total() * 2 > hw.l2_bytes() {
             return Err(EvalError::L2Overflow {
                 required: fp2.total() * 2,
@@ -184,11 +173,11 @@ impl LoopCentricModel {
         }
 
         // ---- Per-level traffic from the shared reuse analysis. ----
-        let order = batch.order(i);
-        let l2_trips = batch.l2_trips(i);
-        let l1_trips = batch.l1_trips(i);
-        let t2 = batch.num_l2_tiles(i) as f64;
-        let t1 = batch.num_l1_tiles_per_l2(i) as f64;
+        let order = row.order();
+        let l2_trips = row.l2_trips();
+        let l1_trips = row.l1_trips();
+        let t2 = row.num_l2_tiles() as f64;
+        let t1 = row.num_l1_tiles_per_l2() as f64;
         let stationary = match hw.dataflow() {
             Dataflow::WeightStationary => TensorKind::Weight,
             Dataflow::OutputStationary => TensorKind::Output,
@@ -352,7 +341,9 @@ impl LoopCentricModel {
     }
 }
 
-/// [`MappingCost`] adapter for the loop-centric engine.
+/// [`MappingCost`] adapter for the loop-centric engine. Like
+/// [`BoundSpatialCost`](crate::BoundSpatialCost), it computes the
+/// cache-key prefix, area and MAC count once at bind time.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundLoopCentricCost<'a> {
     model: &'a LoopCentricModel,
@@ -361,6 +352,9 @@ pub struct BoundLoopCentricCost<'a> {
     eval_cost_s: f64,
     objective: MappingObjective,
     cache: Option<&'a EvalCache>,
+    key_prefix: EvalKeyBuilder,
+    area_mm2: f64,
+    macs: f64,
 }
 
 impl<'a> BoundLoopCentricCost<'a> {
@@ -378,6 +372,9 @@ impl<'a> BoundLoopCentricCost<'a> {
             eval_cost_s,
             objective: MappingObjective::Latency,
             cache: None,
+            key_prefix: spatial_key_prefix(EngineTag::LoopCentric, &hw, &nest),
+            area_mm2: model.area_mm2(&hw),
+            macs: nest.macs() as f64,
         }
     }
 
@@ -393,70 +390,40 @@ impl<'a> BoundLoopCentricCost<'a> {
         self
     }
 
-    fn evaluate_cached(&self, mapping: &Mapping) -> Result<Ppa, EvalError> {
-        match self.cache {
-            Some(cache) => cache.get_or_compute(
-                spatial_eval_key(
-                    EngineTag::LoopCentric,
-                    &self.hw,
-                    mapping,
-                    &self.nest,
-                    self.objective,
-                ),
-                || self.model.evaluate(&self.hw, mapping, &self.nest),
-            ),
-            None => self.model.evaluate(&self.hw, mapping, &self.nest),
-        }
+    /// The cache key of `mapping` under this binding — equal to
+    /// [`spatial_eval_key`](crate::spatial_eval_key) with
+    /// [`EngineTag::LoopCentric`], built from the bind-time prefix.
+    pub fn eval_key(&self, mapping: &Mapping) -> EvalKey {
+        let mut kb = self.key_prefix;
+        kb.mapping_full(mapping, &self.nest)
+            .objective(self.objective);
+        kb.finish()
+    }
+
+    fn evaluate(&self, mapping: &Mapping) -> EvalResult {
+        let row = MappingRow::derive(mapping, &self.nest, self.model.tech.bytes_per_elem);
+        self.model
+            .evaluate_row(&self.hw, &row, &self.nest, self.area_mm2, self.macs)
+            .map(|(p, _)| p)
     }
 }
 
 impl MappingCost for BoundLoopCentricCost<'_> {
     fn assess(&self, mapping: &Mapping) -> Option<MappingOutcome> {
-        outcome_of(self.evaluate_cached(mapping), self.objective)
+        let r = match self.cache {
+            Some(cache) => cache.get_or_compute(self.eval_key(mapping), || self.evaluate(mapping)),
+            None => self.evaluate(mapping),
+        };
+        outcome_of(r, self.objective)
     }
 
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        if mappings.is_empty() {
-            return Vec::new();
-        }
-        let area = self.model.area_mm2(&self.hw);
-        let macs = self.nest.macs() as f64;
         let results: Vec<EvalResult> = match self.cache {
             Some(cache) => {
-                // Same laziness as the data-centric engine: keys hash
-                // off the mappings with the prefix amortized; the SoA
-                // batch is built only when a miss needs compute.
-                let prefix = spatial_key_prefix(EngineTag::LoopCentric, &self.hw, &self.nest);
-                let keys: Vec<EvalKey> = mappings
-                    .iter()
-                    .map(|m| {
-                        let mut kb = prefix.clone();
-                        kb.write_with(|h| CanonicalMapping::hash_mapping_into(m, &self.nest, h))
-                            .objective(self.objective);
-                        kb.finish()
-                    })
-                    .collect();
-                let batch = std::cell::OnceCell::new();
-                cache.get_or_compute_batch(&keys, |i| {
-                    let batch = batch.get_or_init(|| {
-                        MappingBatch::build(mappings, &self.nest, self.model.tech.bytes_per_elem)
-                    });
-                    self.model
-                        .evaluate_row(&self.hw, batch, i, area, macs)
-                        .map(|(p, _)| p)
-                })
+                let keys: Vec<EvalKey> = mappings.iter().map(|m| self.eval_key(m)).collect();
+                cache.get_or_compute_batch(&keys, |i| self.evaluate(&mappings[i]))
             }
-            None => {
-                let batch =
-                    MappingBatch::build(mappings, &self.nest, self.model.tech.bytes_per_elem);
-                (0..batch.len())
-                    .map(|i| {
-                        self.model
-                            .evaluate_row(&self.hw, &batch, i, area, macs)
-                            .map(|(p, _)| p)
-                    })
-                    .collect()
-            }
+            None => mappings.iter().map(|m| self.evaluate(m)).collect(),
         };
         results
             .into_iter()

@@ -65,8 +65,8 @@ pub trait Platform: Sync {
     ///
     /// The default binds a cost oracle and delegates to
     /// [`MappingCost::assess_batch`], which PPA-backed adapters override
-    /// with a structure-of-arrays path (shared per-batch invariants, one
-    /// cache-lock acquisition per shard). Results are bitwise identical
+    /// to walk the evaluation cache with one lock acquisition per shard
+    /// per batch. Results are bitwise identical
     /// to per-candidate `evaluate`/`assess` calls in slice order.
     fn evaluate_batch(
         &self,

@@ -16,24 +16,31 @@
 //!   do on the scalar path — batching changes lock traffic, never
 //!   accounting;
 //! * both caches end with byte-identical traces, so the batched key
-//!   builders write exactly the scalar keys' bytes.
+//!   builders write exactly the scalar keys' bytes;
+//! * each engine's bound cost keys a mapping exactly as the reference
+//!   key function (`spatial_eval_key` / `ascend_eval_key`) does, and its
+//!   scalar `assess`, batched `assess_batch` (cached and uncached) and
+//!   the model's detailed evaluation agree bit for bit — over depthwise
+//!   nests, infeasible candidates and both search objectives.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use unico_camodel::AscendPlatform;
-use unico_mapping::{Mapping, MappingOutcome, MappingSpace};
+use unico_camodel::{ascend_eval_key, AscendConfig, AscendModel, AscendPlatform, BoundAscendCost};
+use unico_mapping::{Mapping, MappingCost, MappingOutcome, MappingSpace};
 use unico_model::{
-    tensor_loads, AnalyticalModel, Dataflow, EvalCache, EvalError, HwConfig, HwSpace, Platform,
-    PpaEngine, SpatialPlatform, TechParams, TensorKind,
+    spatial_eval_key, tensor_loads, AnalyticalModel, BoundLoopCentricCost, BoundSpatialCost,
+    Dataflow, EngineTag, EvalCache, EvalError, EvalKey, HwConfig, HwSpace, LoopCentricModel,
+    MappingObjective, Platform, Ppa, PpaEngine, SpatialPlatform, TechParams, TensorKind,
 };
 use unico_workloads::{Dim, LoopNest, TensorOp};
 
 /// Structured workload grid: two conv layers sized for every engine's
-/// reference hardware plus a GEMM, so both tensor-op lowering paths are
-/// exercised.
+/// reference hardware, a strided depthwise conv (whose input tensor
+/// follows `K`, not `C`) and a GEMM, so every tensor-op lowering path
+/// is exercised.
 fn grid() -> Vec<LoopNest> {
     vec![
         TensorOp::Conv2d {
@@ -56,6 +63,16 @@ fn grid() -> Vec<LoopNest> {
             r: 3,
             s: 3,
             stride: 1,
+        }
+        .to_loop_nest(),
+        TensorOp::DepthwiseConv2d {
+            n: 1,
+            c: 32,
+            y: 28,
+            x: 28,
+            r: 3,
+            s: 3,
+            stride: 2,
         }
         .to_loop_nest(),
         TensorOp::Gemm {
@@ -505,6 +522,175 @@ fn ascend_cycle_level_batch_matches_scalar() {
         107,
         2,
     );
+}
+
+#[test]
+fn edp_objective_batch_matches_scalar() {
+    for (engine, seed) in [(PpaEngine::DataCentric, 113), (PpaEngine::LoopCentric, 127)] {
+        run_differential(
+            |cache| {
+                let p = SpatialPlatform::edge()
+                    .with_engine(engine)
+                    .with_objective(MappingObjective::Edp);
+                match cache {
+                    Some(c) => p.with_eval_cache(c),
+                    None => p,
+                }
+            },
+            &format!("{engine:?} edp"),
+            seed,
+            2,
+        );
+    }
+}
+
+/// The searcher-facing outcome of a detailed evaluation under
+/// `objective` — what `assess` must return for the same candidate.
+fn outcome_of(r: Result<Ppa, EvalError>, objective: MappingObjective) -> Option<MappingOutcome> {
+    r.ok().map(|ppa| MappingOutcome {
+        loss: match objective {
+            MappingObjective::Latency => ppa.latency_s,
+            MappingObjective::Edp => ppa.edp(),
+        },
+        latency_s: ppa.latency_s,
+        power_mw: ppa.power_mw,
+    })
+}
+
+/// One engine binding under test: an uncached and a cached bound cost,
+/// the bound cost's key and the reference key function, and the model's
+/// detailed evaluation.
+struct Binding<'a> {
+    uncached: &'a dyn MappingCost,
+    cached: &'a dyn MappingCost,
+    bound_key: &'a dyn Fn(&Mapping) -> EvalKey,
+    reference_key: &'a dyn Fn(&Mapping) -> EvalKey,
+    detailed: &'a dyn Fn(&Mapping) -> Result<Ppa, EvalError>,
+    objective: MappingObjective,
+}
+
+/// Pins one binding over `mappings`; returns `(feasible, infeasible)`.
+fn check_binding(b: &Binding<'_>, mappings: &[Mapping], label: &str) -> (usize, usize) {
+    for (i, m) in mappings.iter().enumerate() {
+        assert_eq!(
+            (b.bound_key)(m),
+            (b.reference_key)(m),
+            "{label}: candidate {i} bound key differs from the reference key"
+        );
+    }
+    let detailed: Vec<_> = mappings
+        .iter()
+        .map(|m| outcome_of((b.detailed)(m), b.objective))
+        .collect();
+    let scalar: Vec<_> = mappings.iter().map(|m| b.uncached.assess(m)).collect();
+    assert_bitwise(&detailed, &scalar, &format!("{label} detailed vs scalar"));
+    let batched = b.uncached.assess_batch(mappings);
+    assert_bitwise(&detailed, &batched, &format!("{label} detailed vs batched"));
+    for pass in 0..2 {
+        let cached = b.cached.assess_batch(mappings);
+        assert_bitwise(
+            &detailed,
+            &cached,
+            &format!("{label} detailed vs cached batch pass {pass}"),
+        );
+    }
+    let cached_scalar: Vec<_> = mappings.iter().map(|m| b.cached.assess(m)).collect();
+    assert_bitwise(
+        &detailed,
+        &cached_scalar,
+        &format!("{label} detailed vs warm scalar"),
+    );
+    let feasible = scalar.iter().flatten().count();
+    (feasible, scalar.len() - feasible)
+}
+
+/// Every engine's bound cost against its reference key function and
+/// its model's detailed evaluation, on every grid nest (depthwise
+/// included), under both objectives where the engine has them.
+#[test]
+fn bound_costs_match_reference_keys_and_detailed_evaluation() {
+    let dc = AnalyticalModel::new(TechParams::default());
+    let lc = LoopCentricModel::new(TechParams::default());
+    let ca = AscendModel::default();
+    let mut rng = StdRng::seed_from_u64(131);
+    let mut seen = [(0usize, 0usize); 3];
+    for (ni, nest) in grid().iter().enumerate() {
+        for ci in 0..2 {
+            let hw = HwSpace::edge().sample(&mut rng);
+            let ca_hw = if ci == 0 {
+                AscendConfig::expert_default()
+            } else {
+                AscendPlatform::new().sample_hw(&mut rng)
+            };
+            let mappings = candidates(nest, &mut rng);
+            for objective in [MappingObjective::Latency, MappingObjective::Edp] {
+                let cache = EvalCache::new();
+                let label = format!("nest {ni} config {ci} {objective:?}");
+
+                let cost = BoundSpatialCost::new(&dc, hw, *nest, 1.0).with_objective(objective);
+                let cached = cost.with_cache(Some(&cache));
+                let r = check_binding(
+                    &Binding {
+                        uncached: &cost,
+                        cached: &cached,
+                        bound_key: &|m| cost.eval_key(m),
+                        reference_key: &|m| {
+                            spatial_eval_key(EngineTag::DataCentric, &hw, m, nest, objective)
+                        },
+                        detailed: &|m| dc.evaluate_detailed(&hw, m, nest).map(|(p, _)| p),
+                        objective,
+                    },
+                    &mappings,
+                    &format!("data-centric {label}"),
+                );
+                seen[0] = (seen[0].0 + r.0, seen[0].1 + r.1);
+
+                let cost = BoundLoopCentricCost::new(&lc, hw, *nest, 1.0).with_objective(objective);
+                let cached = cost.with_cache(Some(&cache));
+                let r = check_binding(
+                    &Binding {
+                        uncached: &cost,
+                        cached: &cached,
+                        bound_key: &|m| cost.eval_key(m),
+                        reference_key: &|m| {
+                            spatial_eval_key(EngineTag::LoopCentric, &hw, m, nest, objective)
+                        },
+                        detailed: &|m| lc.evaluate_detailed(&hw, m, nest).map(|(p, _)| p),
+                        objective,
+                    },
+                    &mappings,
+                    &format!("loop-centric {label}"),
+                );
+                seen[1] = (seen[1].0 + r.0, seen[1].1 + r.1);
+            }
+
+            // The cycle model has no objective knob: latency only.
+            let cache = EvalCache::new();
+            let cost = BoundAscendCost::new(&ca, ca_hw, *nest);
+            let cached = cost.with_cache(Some(&cache));
+            let r = check_binding(
+                &Binding {
+                    uncached: &cost,
+                    cached: &cached,
+                    bound_key: &|m| cost.eval_key(m),
+                    reference_key: &|m| ascend_eval_key(&ca_hw, m, nest),
+                    detailed: &|m| ca.evaluate_with_breakdown(&ca_hw, m, nest).map(|(p, _)| p),
+                    objective: MappingObjective::Latency,
+                },
+                &mappings,
+                &format!("ascend nest {ni} config {ci}"),
+            );
+            seen[2] = (seen[2].0 + r.0, seen[2].1 + r.1);
+        }
+    }
+    for ((feasible, infeasible), engine) in
+        seen.iter().zip(["data-centric", "loop-centric", "ascend"])
+    {
+        assert!(
+            *feasible > 0 && *infeasible > 0,
+            "{engine}: grid must exercise both paths (feasible {feasible}, infeasible {infeasible})"
+        );
+    }
 }
 
 #[test]

@@ -1,26 +1,30 @@
-//! Differential cross-check of the analytical spatial engine against the
-//! cycle-level Ascend-like engine.
+//! Differential cross-check of the analytical spatial engines (the
+//! data-centric and the loop-centric one) against the cycle-level
+//! Ascend-like engine.
 //!
-//! The two engines model very different machines (a 16×16 PE array with
+//! The engines model very different machines (a 16×16 PE array with
 //! explicit NoC vs. a 16×16×16 cube with a multi-level scratchpad
 //! hierarchy), so bit-agreement is not the goal. What the suite pins down
-//! is that, over a grid of small convolution layers, both engines land in
-//! the same physical regime:
+//! is that, over a grid of small convolution layers, each spatial engine
+//! lands in the same physical regime as the cycle model:
 //!
 //! * latency within an 8× band of each other (measured spread on the
 //!   grid: 0.6×–4.0×),
 //! * energy per MAC within an 8× band of each other (measured spread:
 //!   0.36×–2.1×) and inside an absolute 0.5–50 pJ/MAC sanity window,
-//! * compute utilization in `(0, 1]` for both,
+//! * compute utilization in `(0, 1]` for all three,
 //!
-//! and that routing either engine through [`EvalCache`] returns results
-//! bit-for-bit identical to the uncached path.
+//! and that routing any engine through [`EvalCache`] — via the reference
+//! key functions or via the bound costs, whose keys must equal them —
+//! returns results bit-for-bit identical to the uncached path.
 
-use unico_camodel::{ascend_eval_key, AscendConfig, AscendModel, DepthFirstFusionSearch};
-use unico_mapping::Mapping;
+use unico_camodel::{
+    ascend_eval_key, AscendConfig, AscendModel, BoundAscendCost, DepthFirstFusionSearch,
+};
+use unico_mapping::{Mapping, MappingCost};
 use unico_model::{
-    spatial_eval_key, AnalyticalModel, Dataflow, EngineTag, EvalCache, HwConfig, MappingObjective,
-    Ppa, TechParams,
+    spatial_eval_key, AnalyticalModel, BoundLoopCentricCost, BoundSpatialCost, Dataflow, EngineTag,
+    EvalCache, EvalError, EvalKey, HwConfig, LoopCentricModel, MappingObjective, Ppa, TechParams,
 };
 use unico_workloads::{Dim, LoopNest, TensorOp};
 
@@ -95,6 +99,7 @@ fn within_ratio(a: f64, b: f64) -> bool {
 #[test]
 fn engines_agree_on_small_layer_grid() {
     let model = AnalyticalModel::new(TechParams::default());
+    let lc_model = LoopCentricModel::new(TechParams::default());
     let hw = HwConfig::new(16, 16, 4096, 512 * 1024, 128, Dataflow::WeightStationary);
     let ca_model = AscendModel::default();
     let ca_hw = AscendConfig::expert_default();
@@ -106,58 +111,77 @@ fn engines_agree_on_small_layer_grid() {
 
     for (k, c, yx) in GRID {
         let nest = layer(k, c, yx);
-        let macs = nest.macs() as f64;
-        let label = format!("conv k={k} c={c} y=x={yx}");
-
         let m = small_mapping(&nest);
-        let pa = model
-            .evaluate(&hw, &m, &nest)
-            .unwrap_or_else(|e| panic!("{label}: analytical infeasible: {e:?}"));
         let ca_m = DepthFirstFusionSearch::seed_mapping(&ca_hw, &nest);
         let pb = ca_model
             .evaluate(&ca_hw, &ca_m, &nest)
-            .unwrap_or_else(|e| panic!("{label}: ascend infeasible: {e:?}"));
-
-        // Latency band.
-        assert!(
-            within_ratio(pa.latency_s, pb.latency_s),
-            "{label}: latency disagrees beyond {RATIO_TOLERANCE}x: \
-             analytical {:.3e}s vs ascend {:.3e}s",
-            pa.latency_s,
-            pb.latency_s,
-        );
-
-        // Energy-per-MAC band, relative and absolute.
-        let (ea, eb) = (pa.energy_pj / macs, pb.energy_pj / macs);
-        assert!(
-            within_ratio(ea, eb),
-            "{label}: energy/MAC disagrees beyond {RATIO_TOLERANCE}x: \
-             analytical {ea:.3} pJ vs ascend {eb:.3} pJ",
-        );
-        for (e, engine) in [(ea, "analytical"), (eb, "ascend")] {
-            assert!(
-                (ENERGY_PJ_PER_MAC.0..=ENERGY_PJ_PER_MAC.1).contains(&e),
-                "{label}: {engine} energy/MAC {e:.3} pJ outside sanity window",
-            );
-        }
-
-        // Neither engine may report super-peak throughput.
-        for (p, peak, engine) in [
-            (&pa, peak_spatial, "analytical"),
-            (&pb, peak_ascend, "ascend"),
+            .unwrap_or_else(|e| panic!("conv k={k} c={c} y=x={yx}: ascend infeasible: {e:?}"));
+        for (engine, pa) in [
+            ("data-centric", model.evaluate(&hw, &m, &nest)),
+            ("loop-centric", lc_model.evaluate(&hw, &m, &nest)),
         ] {
-            let util = macs / p.latency_s / peak;
-            assert!(
-                util > 0.0 && util <= 1.0,
-                "{label}: {engine} utilization {util:.4} outside (0, 1]",
-            );
+            let label = format!("{engine} conv k={k} c={c} y=x={yx}");
+            let pa = pa.unwrap_or_else(|e| panic!("{label}: spatial engine infeasible: {e:?}"));
+            assert_same_regime(&label, &nest, &pa, &pb, peak_spatial, peak_ascend);
         }
     }
 }
 
+/// The physical-regime checks of one spatial engine result `pa` against
+/// the cycle model's `pb` on the same layer.
+fn assert_same_regime(
+    label: &str,
+    nest: &LoopNest,
+    pa: &Ppa,
+    pb: &Ppa,
+    peak_spatial: f64,
+    peak_ascend: f64,
+) {
+    let macs = nest.macs() as f64;
+
+    // Latency band.
+    assert!(
+        within_ratio(pa.latency_s, pb.latency_s),
+        "{label}: latency disagrees beyond {RATIO_TOLERANCE}x: \
+         analytical {:.3e}s vs ascend {:.3e}s",
+        pa.latency_s,
+        pb.latency_s,
+    );
+
+    // Energy-per-MAC band, relative and absolute.
+    let (ea, eb) = (pa.energy_pj / macs, pb.energy_pj / macs);
+    assert!(
+        within_ratio(ea, eb),
+        "{label}: energy/MAC disagrees beyond {RATIO_TOLERANCE}x: \
+         analytical {ea:.3} pJ vs ascend {eb:.3} pJ",
+    );
+    for (e, engine) in [(ea, "analytical"), (eb, "ascend")] {
+        assert!(
+            (ENERGY_PJ_PER_MAC.0..=ENERGY_PJ_PER_MAC.1).contains(&e),
+            "{label}: {engine} energy/MAC {e:.3} pJ outside sanity window",
+        );
+    }
+
+    // Neither engine may report super-peak throughput.
+    for (p, peak, engine) in [
+        (pa, peak_spatial, "analytical"),
+        (pb, peak_ascend, "ascend"),
+    ] {
+        let util = macs / p.latency_s / peak;
+        assert!(
+            util > 0.0 && util <= 1.0,
+            "{label}: {engine} utilization {util:.4} outside (0, 1]",
+        );
+    }
+}
+
+/// A deferred uncached evaluation of one engine.
+type Evaluate<'a> = &'a dyn Fn() -> Result<Ppa, EvalError>;
+
 #[test]
 fn cached_results_match_uncached_bit_for_bit() {
     let model = AnalyticalModel::new(TechParams::default());
+    let lc_model = LoopCentricModel::new(TechParams::default());
     let hw = HwConfig::new(16, 16, 4096, 512 * 1024, 128, Dataflow::WeightStationary);
     let ca_model = AscendModel::default();
     let ca_hw = AscendConfig::expert_default();
@@ -168,36 +192,57 @@ fn cached_results_match_uncached_bit_for_bit() {
         let label = format!("conv k={k} c={c} y=x={yx}");
 
         let m = small_mapping(&nest);
-        let direct = model.evaluate(&hw, &m, &nest).expect("feasible");
-        let key = spatial_eval_key(
-            EngineTag::DataCentric,
-            &hw,
-            &m,
-            &nest,
-            MappingObjective::Latency,
-        );
-        // First pass populates, second pass must serve the hit — both must
-        // be bitwise identical to the direct evaluation.
-        for pass in 0..2 {
-            let cached = cache
-                .get_or_compute(key, || model.evaluate(&hw, &m, &nest))
-                .expect("feasible");
-            assert_same_bits(&direct, &cached, &format!("{label} analytical pass {pass}"));
+        let spatial: [(&str, EngineTag, Evaluate<'_>, EvalKey); 2] = [
+            (
+                "data-centric",
+                EngineTag::DataCentric,
+                &|| model.evaluate(&hw, &m, &nest),
+                BoundSpatialCost::new(&model, hw, nest, 1.0).eval_key(&m),
+            ),
+            (
+                "loop-centric",
+                EngineTag::LoopCentric,
+                &|| lc_model.evaluate(&hw, &m, &nest),
+                BoundLoopCentricCost::new(&lc_model, hw, nest, 1.0).eval_key(&m),
+            ),
+        ];
+        for (engine, tag, evaluate, bound_key) in spatial {
+            let direct = evaluate().expect("feasible");
+            let key = spatial_eval_key(tag, &hw, &m, &nest, MappingObjective::Latency);
+            assert_eq!(bound_key, key, "{label} {engine}: bound key diverged");
+            // First pass populates, second pass must serve the hit —
+            // both must be bitwise identical to the direct evaluation.
+            for pass in 0..2 {
+                let cached = cache.get_or_compute(key, evaluate).expect("feasible");
+                assert_same_bits(&direct, &cached, &format!("{label} {engine} pass {pass}"));
+            }
         }
 
         let ca_m = DepthFirstFusionSearch::seed_mapping(&ca_hw, &nest);
         let direct = ca_model.evaluate(&ca_hw, &ca_m, &nest).expect("feasible");
         let key = ascend_eval_key(&ca_hw, &ca_m, &nest);
+        let bound = BoundAscendCost::new(&ca_model, ca_hw, nest);
+        assert_eq!(
+            bound.eval_key(&ca_m),
+            key,
+            "{label} ascend: bound key diverged"
+        );
         for pass in 0..2 {
             let cached = cache
                 .get_or_compute(key, || ca_model.evaluate(&ca_hw, &ca_m, &nest))
                 .expect("feasible");
             assert_same_bits(&direct, &cached, &format!("{label} ascend pass {pass}"));
         }
+        let o = bound
+            .with_cache(Some(&cache))
+            .assess(&ca_m)
+            .expect("feasible");
+        assert_eq!(o.latency_s.to_bits(), direct.latency_s.to_bits());
     }
 
-    // Every grid entry missed once and hit once, per engine.
+    // Every grid entry missed once and hit once per engine; the bound
+    // Ascend cost's assess hit the entry its reference key populated.
     let s = cache.stats();
-    assert_eq!(s.misses, 2 * GRID.len() as u64);
-    assert_eq!(s.hits, 2 * GRID.len() as u64);
+    assert_eq!(s.misses, 3 * GRID.len() as u64);
+    assert_eq!(s.hits, 4 * GRID.len() as u64);
 }

@@ -164,7 +164,12 @@ fn killed_worker_lease_is_reassigned_and_resumed_byte_identically() {
         cluster.counters.leases_expired.load(Ordering::Relaxed) >= 1,
         "the dead worker's lease must be reaped"
     );
-    assert_eq!(b.counters.jobs_completed.load(Ordering::Relaxed), 1);
+    // The coordinator marks the job completed before the worker has
+    // read the 200 and bumped its counter; joining the worker first
+    // makes the exact count race-free.
+    let b_counters = Arc::clone(&b.counters);
+    b.stop();
+    assert_eq!(b_counters.jobs_completed.load(Ordering::Relaxed), 1);
     assert_eq!(cluster.active_leases(), 0);
 
     let resumed = sched.get(&id).and_then(|j| j.outcome()).expect("outcome");
@@ -182,7 +187,6 @@ fn killed_worker_lease_is_reassigned_and_resumed_byte_identically() {
         "missing lease-reaped event: {events:?}"
     );
 
-    b.stop();
     server.shutdown();
     sched.shutdown();
 }
