@@ -20,9 +20,17 @@ pub struct StageSpec {
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     stages: Vec<StageSpec>,
-    /// `done[s]` holds, for the most recent `max_depth` tiles, the cycle
-    /// at which stage `s` finished each of them (ring buffer).
+    /// `history[s]` holds, for recent tiles, the cycle at which stage
+    /// `s` finished each of them. Trimmed to the last `keep` entries
+    /// once it exceeds `4 * keep`, and allocated at that bound up front,
+    /// so pushing tiles never reallocates.
     history: Vec<Vec<f64>>,
+    /// Entries of `history` that back-pressure lookups can reach: the
+    /// deepest buffer plus two.
+    keep: usize,
+    /// Per-tile scratch: the cycle at which each stage finishes the
+    /// tile being pushed.
+    finishes: Vec<f64>,
     stage_free: Vec<f64>,
     stage_busy: Vec<f64>,
     tiles_done: u64,
@@ -42,9 +50,20 @@ impl PipelineSim {
             "buffer depth must be ≥ 1"
         );
         let n = stages.len();
+        let keep = stages
+            .iter()
+            .map(|st| st.out_depth as usize)
+            .max()
+            .unwrap_or(1)
+            + 2;
+        // A push can take a trimmed history to `4 * keep + 1` entries,
+        // and `run_uniform`'s steady-state entry one further.
+        let history_cap = 4 * keep + 2;
         PipelineSim {
             stages,
-            history: vec![Vec::new(); n],
+            history: (0..n).map(|_| Vec::with_capacity(history_cap)).collect(),
+            keep,
+            finishes: vec![0.0; n],
             stage_free: vec![0.0; n],
             stage_busy: vec![0.0; n],
             tiles_done: 0,
@@ -98,7 +117,6 @@ impl PipelineSim {
         );
         let n = self.stages.len();
         let mut done_prev_stage = 0.0f64; // completion of this tile at s-1
-        let mut finishes = vec![0.0f64; n];
         #[allow(clippy::needless_range_loop)]
         for s in 0..n {
             let mut start = done_prev_stage.max(self.stage_free[s]);
@@ -117,26 +135,19 @@ impl PipelineSim {
             let finish = start + durations[s];
             self.stage_free[s] = finish;
             self.stage_busy[s] += durations[s];
-            finishes[s] = finish;
+            self.finishes[s] = finish;
             done_prev_stage = finish;
         }
-        for (s, &fin) in finishes.iter().enumerate() {
-            let hist = &mut self.history[s];
+        let keep = self.keep;
+        for (hist, &fin) in self.history.iter_mut().zip(&self.finishes) {
             hist.push(fin);
             // Keep only what back-pressure lookups can reach.
-            let keep = self
-                .stages
-                .iter()
-                .map(|st| st.out_depth as usize)
-                .max()
-                .unwrap_or(1)
-                + 2;
             if hist.len() > 4 * keep {
                 hist.drain(..hist.len() - keep);
             }
         }
         self.tiles_done += 1;
-        self.last_finish = finishes[n - 1];
+        self.last_finish = self.finishes[n - 1];
         self.last_finish
     }
 

@@ -22,6 +22,20 @@
 //! twice, which keeps miss counts (and therefore run reports) exactly
 //! reproducible regardless of thread interleaving.
 //!
+//! # Tiers
+//!
+//! A cache may have one second tier, consulted on a miss before
+//! computing: an on-disk [`DiskTier`] ([`EvalCache::with_disk`]) or a
+//! shared in-memory cache ([`EvalCache::with_backing`]). `unico-served`
+//! gives every job its own cache backed by the daemon-wide one, so a
+//! job's counters, checkpoint trace and resume cover its own working
+//! set while evaluations are still priced once across jobs. Either way
+//! a tier hit counts as a **miss** of this cache, and the shard lock is
+//! held across the tier call, so each key is still computed once and
+//! counters stay deterministic. Locks are therefore always taken backed
+//! cache first, then backing; a backing never has a backing of its own,
+//! so the order cannot cycle.
+//!
 //! # Record / replay
 //!
 //! [`EvalCache::to_trace`] serializes every entry to a compact,
@@ -35,7 +49,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use unico_mapping::{CanonicalMapping, Mapping, StableHasher};
 use unico_workloads::LoopNest;
@@ -366,6 +380,47 @@ impl BatchStats {
     }
 }
 
+/// The second tier of an [`EvalCache`]: where a miss looks before
+/// computing.
+#[derive(Debug)]
+enum Tier {
+    /// On-disk segments, fed with every fresh compute. A disk hit still
+    /// counts as an in-memory **miss**, so [`CacheStats`] — and
+    /// therefore run reports and traces — are byte-identical with the
+    /// tier cold, warm or absent; only [`DiskTier::stats`] differs.
+    Disk(Arc<DiskTier>),
+    /// A shared cache (itself without a shared backing) that resolves
+    /// the miss through its own lookup, so it computes each key at most
+    /// once across every cache it backs.
+    Shared(Arc<EvalCache>),
+}
+
+impl Tier {
+    /// Resolves a miss of the cache this tier backs.
+    fn resolve(&self, key: EvalKey, compute: impl FnOnce() -> EvalResult) -> EvalResult {
+        match self {
+            Tier::Disk(d) => d.lookup(key).unwrap_or_else(|| {
+                let v = compute();
+                d.record(key, v);
+                v
+            }),
+            Tier::Shared(shared) => shared.get_or_compute(key, compute),
+        }
+    }
+
+    /// Hands an entry loaded from a trace down, without counting a
+    /// lookup: the disk tier records it for its next flush, a shared
+    /// cache preloads it.
+    fn preload(&self, key: EvalKey, v: EvalResult) {
+        match self {
+            Tier::Disk(d) => d.record(key, v),
+            Tier::Shared(shared) => {
+                shared.preload(key, v);
+            }
+        }
+    }
+}
+
 /// Sharded concurrent memoization cache for PPA evaluations. See the
 /// module docs for design and determinism guarantees.
 #[derive(Debug)]
@@ -375,12 +430,8 @@ pub struct EvalCache {
     mode: Mode,
     batch_lookups: AtomicU64,
     batch_keys: AtomicU64,
-    /// Optional second tier: consulted on an in-memory miss before
-    /// computing, fed with every fresh compute. A disk hit still counts
-    /// as an in-memory **miss**, so [`CacheStats`] — and therefore run
-    /// reports and traces — are byte-identical with the tier cold, warm
-    /// or absent; only [`DiskTier::stats`] differs.
-    disk: Option<std::sync::Arc<DiskTier>>,
+    /// Optional second tier, consulted on a miss (see [`Tier`]).
+    tier: Option<Tier>,
 }
 
 impl Default for EvalCache {
@@ -399,7 +450,7 @@ impl EvalCache {
             mode: Mode::Record,
             batch_lookups: AtomicU64::new(0),
             batch_keys: AtomicU64::new(0),
-            disk: None,
+            tier: None,
         }
     }
 
@@ -408,34 +459,65 @@ impl EvalCache {
     /// recorded for its next segment flush. Replay-mode caches never
     /// have a tier — replay resolves from the golden trace only.
     #[must_use]
-    pub fn with_disk(mut self, tier: std::sync::Arc<DiskTier>) -> Self {
-        self.disk = Some(tier);
+    pub fn with_disk(mut self, tier: Arc<DiskTier>) -> Self {
+        self.tier = Some(Tier::Disk(tier));
+        self
+    }
+
+    /// Puts `shared` behind this cache as its second tier: a miss here
+    /// is resolved through `shared` (and its disk tier, if any) before
+    /// anything is computed, and counts as a miss of this cache whether
+    /// `shared` hit or not. Entries loaded with
+    /// [`EvalCache::load_trace`] are handed on to `shared` too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this cache replays a trace (replay resolves from the
+    /// trace only), is capacity-bounded (every evicted key would be
+    /// re-asked of `shared`), already has a tier, or if `shared` itself
+    /// has a shared backing (backings do not chain).
+    #[must_use]
+    pub fn with_backing(mut self, shared: Arc<EvalCache>) -> Self {
+        assert!(
+            self.mode == Mode::Record,
+            "a replay-mode evalcache takes no backing"
+        );
+        assert!(
+            self.capacity_per_shard.is_none(),
+            "a capped evalcache takes no backing"
+        );
+        assert!(self.tier.is_none(), "an evalcache has at most one tier");
+        assert!(
+            !matches!(shared.tier, Some(Tier::Shared(_))),
+            "a backing evalcache may not itself have a backing"
+        );
+        self.tier = Some(Tier::Shared(shared));
         self
     }
 
     /// The attached disk tier, if any.
-    pub fn disk(&self) -> Option<&std::sync::Arc<DiskTier>> {
-        self.disk.as_ref()
+    pub fn disk(&self) -> Option<&Arc<DiskTier>> {
+        match &self.tier {
+            Some(Tier::Disk(d)) => Some(d),
+            _ => None,
+        }
     }
 
     /// Flushes the disk tier's pending entries (no-op without a tier).
     /// Returns the number of entries written.
     pub fn flush_disk(&self) -> usize {
-        self.disk.as_ref().map_or(0, |d| d.flush())
+        self.disk().map_or(0, |d| d.flush())
     }
 
     /// Re-scans the disk tier for segments flushed by peer workers
     /// (no-op without a tier). Returns the number of entries merged.
     pub fn refresh_disk(&self) -> usize {
-        self.disk
-            .as_ref()
-            .and_then(|d| d.refresh().ok())
-            .unwrap_or(0)
+        self.disk().and_then(|d| d.refresh().ok()).unwrap_or(0)
     }
 
     /// Disk-tier counters, when a tier is attached.
     pub fn disk_stats(&self) -> Option<DiskTierStats> {
-        self.disk.as_ref().map(|d| d.stats())
+        self.disk().map(|d| d.stats())
     }
 
     /// The process-wide shared cache, created on first use.
@@ -443,12 +525,13 @@ impl EvalCache {
     /// Keys are engine-tagged and platform-stable, so one cache safely
     /// serves evaluations from every platform in the process — the
     /// spatial analytical engines and the Ascend-like cycle model never
-    /// alias. `unico-served` attaches this (or its own instance) to
-    /// every job's platform so identical `(hw, mapping)` points
-    /// submitted by different users are priced once.
-    pub fn process_shared() -> std::sync::Arc<EvalCache> {
-        static SHARED: std::sync::OnceLock<std::sync::Arc<EvalCache>> = std::sync::OnceLock::new();
-        std::sync::Arc::clone(SHARED.get_or_init(|| std::sync::Arc::new(EvalCache::new())))
+    /// alias. `unico-served` puts this (or its own instance) behind
+    /// every job's own cache ([`EvalCache::with_backing`]) so identical
+    /// `(hw, mapping)` points submitted by different users are priced
+    /// once.
+    pub fn process_shared() -> Arc<EvalCache> {
+        static SHARED: std::sync::OnceLock<Arc<EvalCache>> = std::sync::OnceLock::new();
+        Arc::clone(SHARED.get_or_init(|| Arc::new(EvalCache::new())))
     }
 
     /// Bounds every shard to `cap` entries with FIFO eviction.
@@ -486,15 +569,9 @@ impl EvalCache {
             key.to_hex()
         );
         shard.misses.fetch_add(1, Ordering::Relaxed);
-        let v = match self.disk.as_ref().and_then(|d| d.lookup(key)) {
-            Some(v) => v,
-            None => {
-                let v = compute();
-                if let Some(d) = &self.disk {
-                    d.record(key, v);
-                }
-                v
-            }
+        let v = match &self.tier {
+            Some(tier) => tier.resolve(key, compute),
+            None => compute(),
         };
         let evicted = map.insert(key, v, self.capacity_per_shard);
         if evicted > 0 {
@@ -553,15 +630,9 @@ impl EvalCache {
                     key.to_hex()
                 );
                 misses += 1;
-                let v = match self.disk.as_ref().and_then(|d| d.lookup(key)) {
-                    Some(v) => v,
-                    None => {
-                        let v = compute(i);
-                        if let Some(d) = &self.disk {
-                            d.record(key, v);
-                        }
-                        v
-                    }
+                let v = match &self.tier {
+                    Some(tier) => tier.resolve(key, || compute(i)),
+                    None => compute(i),
                 };
                 evictions += map.insert(key, v, self.capacity_per_shard);
                 out[i] = Some(v);
@@ -685,35 +756,41 @@ impl EvalCache {
     /// interrupted run had computed, so its hit/miss deltas line up with
     /// the uninterrupted run's.
     ///
+    /// Newly inserted entries are handed on to the tier: the disk tier
+    /// records them (entries the interrupted run computed but never
+    /// flushed become durable after the resumed run's next flush) and a
+    /// shared backing preloads them for other jobs.
+    ///
     /// Returns the number of entries inserted.
     pub fn load_trace(&self, text: &str) -> Result<usize, TraceError> {
-        let loaded = EvalCache::from_trace(text)?;
-        let mut inserted = 0usize;
-        for shard in &loaded.shards {
-            let map = shard.map.lock().expect("evalcache shard poisoned");
-            for (k, v) in map.entries.iter() {
-                let dst = &self.shards[k.shard()];
-                let mut dst_map = dst.map.lock().expect("evalcache shard poisoned");
-                if dst_map.entries.contains_key(k) {
-                    continue;
-                }
-                // Loading never evicts: a capped cache may exceed its
-                // capacity until its next fresh insert trims it.
-                dst_map.entries.insert(*k, *v);
-                if self.capacity_per_shard.is_some() {
-                    dst_map.fifo.push_back(*k);
-                }
-                drop(dst_map);
-                // Resume repopulates the disk tier too: entries the
-                // interrupted run computed but never flushed become
-                // durable after the resumed run's next flush.
-                if let Some(d) = &self.disk {
-                    d.record(*k, *v);
-                }
-                inserted += 1;
-            }
+        let entries = parse_trace_entries(text)?;
+        Ok(entries
+            .into_iter()
+            .filter(|&(k, v)| self.preload(k, v))
+            .count())
+    }
+
+    /// Inserts `(key, v)` unless `key` is resident, counting no lookup,
+    /// and hands a new entry on to the tier. Loading never evicts: a
+    /// capped cache may exceed its capacity until its next fresh insert
+    /// trims it. Returns whether the entry was new.
+    fn preload(&self, key: EvalKey, v: EvalResult) -> bool {
+        let mut map = self.shards[key.shard()]
+            .map
+            .lock()
+            .expect("evalcache shard poisoned");
+        if map.entries.contains_key(&key) {
+            return false;
         }
-        Ok(inserted)
+        map.entries.insert(key, v);
+        if self.capacity_per_shard.is_some() {
+            map.fifo.push_back(key);
+        }
+        drop(map);
+        if let Some(tier) = &self.tier {
+            tier.preload(key, v);
+        }
+        true
     }
 }
 
@@ -887,7 +964,7 @@ mod tests {
     fn process_shared_returns_one_instance() {
         let a = EvalCache::process_shared();
         let b = EvalCache::process_shared();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &b));
         // Entries inserted through one handle are visible through the
         // other (same underlying cache).
         let probe = key(0x5eed_cafe);
@@ -1093,6 +1170,122 @@ mod tests {
     fn batch_replay_miss_panics() {
         let replay = EvalCache::from_trace("unico.evaltrace.v1 0\n").expect("parse");
         let _ = replay.get_or_compute_batch(&[key(4)], |_| ppa(1.0));
+    }
+
+    /// A job cache over a shared one: `keys` resolved through the job
+    /// cache, counting computes.
+    fn job_over(shared: &Arc<EvalCache>, keys: &[EvalKey], calls: &AtomicUsize) -> EvalCache {
+        let job = EvalCache::new().with_backing(Arc::clone(shared));
+        for k in keys {
+            let _ = job.get_or_compute(*k, || {
+                calls.fetch_add(1, Ordering::Relaxed);
+                ppa(1.0)
+            });
+        }
+        job
+    }
+
+    #[test]
+    fn backing_hit_is_a_local_miss() {
+        let shared = Arc::new(EvalCache::new());
+        let _ = shared.get_or_compute(key(9), || ppa(0.5));
+        let job = EvalCache::new().with_backing(Arc::clone(&shared));
+        assert_eq!(job.get_or_compute(key(9), || panic!("recompute")), ppa(0.5));
+        assert_eq!(job.get_or_compute(key(9), || panic!("recompute")), ppa(0.5));
+        let s = job.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        // The shared cache saw one lookup: the job cache's miss.
+        let s = shared.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn two_job_caches_over_one_shared_cache_compute_a_key_once() {
+        let shared = Arc::new(EvalCache::new());
+        let calls = AtomicUsize::new(0);
+        let keys: Vec<EvalKey> = (0..6u128).map(|i| key((i << 64) | i)).collect();
+        let a = job_over(&shared, &keys[..4], &calls);
+        let b = job_over(&shared, &keys[2..], &calls);
+        assert_eq!(calls.load(Ordering::Relaxed), 6, "keys 2 and 3 priced once");
+        // Each job counts its own lookups, whatever ran before it.
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!((a.stats().hits, a.stats().misses), (0, 4));
+        let s = shared.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 6, 6));
+    }
+
+    #[test]
+    fn job_trace_holds_only_its_own_keys() {
+        let shared = Arc::new(EvalCache::new());
+        let calls = AtomicUsize::new(0);
+        let own: Vec<EvalKey> = (0..3u128).map(|i| key((i << 64) | i)).collect();
+        let other: Vec<EvalKey> = (10..20u128).map(|i| key((i << 64) | i)).collect();
+        let _ = job_over(&shared, &other, &calls);
+        let job = job_over(&shared, &own, &calls);
+        let alone = job_over(&Arc::new(EvalCache::new()), &own, &calls);
+        assert_eq!(job.to_trace(), alone.to_trace());
+        assert!(job.to_trace().starts_with("unico.evaltrace.v1 3\n"));
+        assert_eq!(shared.len(), 13);
+
+        // Resume: loading the job's trace into a fresh job cache hands
+        // the entries on to its (fresh) shared cache without counting.
+        let shared2 = Arc::new(EvalCache::new());
+        let resumed = EvalCache::new().with_backing(Arc::clone(&shared2));
+        assert_eq!(resumed.load_trace(&job.to_trace()), Ok(3));
+        assert_eq!(shared2.to_trace(), job.to_trace());
+        assert_eq!(resumed.stats().lookups() + shared2.stats().lookups(), 0);
+    }
+
+    #[test]
+    fn batch_over_a_backing_keeps_scalar_counters() {
+        let keys: Vec<EvalKey> = [0u128, 1, 2, 33, 1, 0, 7, 2]
+            .iter()
+            .map(|&i| key((i << 64) | i))
+            .collect();
+        let warm = |shared: &EvalCache| {
+            let _ = shared.get_or_compute(keys[2], || ppa(1.0));
+            let _ = shared.get_or_compute(keys[6], || ppa(1.0));
+        };
+        let scalar_shared = Arc::new(EvalCache::new());
+        warm(&scalar_shared);
+        let scalar = EvalCache::new().with_backing(Arc::clone(&scalar_shared));
+        let scalar_out: Vec<EvalResult> = keys
+            .iter()
+            .map(|k| scalar.get_or_compute(*k, || ppa(1.0)))
+            .collect();
+        let batch_shared = Arc::new(EvalCache::new());
+        warm(&batch_shared);
+        let batched = EvalCache::new().with_backing(Arc::clone(&batch_shared));
+        let batch_out = batched.get_or_compute_batch(&keys, |_| ppa(1.0));
+        assert_eq!(scalar_out, batch_out);
+        assert_eq!(scalar.stats(), batched.stats());
+        assert_eq!((batched.stats().hits, batched.stats().misses), (3, 5));
+        assert_eq!(scalar_shared.stats(), batch_shared.stats());
+        assert_eq!(
+            (batch_shared.stats().hits, batch_shared.stats().misses),
+            (2, 5)
+        );
+        assert_eq!(scalar.to_trace(), batched.to_trace());
+    }
+
+    #[test]
+    #[should_panic(expected = "replay-mode evalcache takes no backing")]
+    fn replay_cache_refuses_a_backing() {
+        let replay = EvalCache::from_trace("unico.evaltrace.v1 0\n").expect("parse");
+        let _ = replay.with_backing(Arc::new(EvalCache::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "capped evalcache takes no backing")]
+    fn capped_cache_refuses_a_backing() {
+        let _ = EvalCache::with_capacity_per_shard(4).with_backing(Arc::new(EvalCache::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "may not itself have a backing")]
+    fn backings_do_not_chain() {
+        let inner = EvalCache::new().with_backing(Arc::new(EvalCache::new()));
+        let _ = EvalCache::new().with_backing(Arc::new(inner));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! a bounded worker pool drives [`unico_core::Unico`] runs, and every
 //! job checkpoints to disk so a killed daemon resumes its in-flight
 //! work on the next boot — bit-for-bit, thanks to the resume-
-//! equivalence guarantees of `unico-core`'s checkpoint format. All
-//! jobs share one process-wide [`unico_model::EvalCache`], so
-//! submissions over the same workload warm each other's PPA
-//! evaluations.
+//! equivalence guarantees of `unico-core`'s checkpoint format. Every
+//! job evaluates through its own [`unico_model::EvalCache`] backed by
+//! one daemon-wide cache, so submissions over the same workload warm
+//! each other's PPA evaluations while a job's checkpoint and report
+//! cover its own lookups only.
 //!
 //! Everything is hand-rolled on `std` (TCP, HTTP parsing, JSON,
 //! Prometheus exposition): the build stays dependency-free and

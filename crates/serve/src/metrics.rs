@@ -126,19 +126,19 @@ pub fn render(sched: &Scheduler, net: &NetStats, cluster: Option<&ClusterState>)
 
     let stats = sched.cache().stats();
     out.push_str(&format!(
-        "# HELP unico_serve_cache_hits_total Shared eval-cache lookups answered from the cache.\n# TYPE unico_serve_cache_hits_total counter\nunico_serve_cache_hits_total {}\n",
+        "# HELP unico_serve_cache_hits_total Lookups that missed a job's own eval cache and were answered by the shared cache.\n# TYPE unico_serve_cache_hits_total counter\nunico_serve_cache_hits_total {}\n",
         stats.hits
     ));
     out.push_str(&format!(
-        "# HELP unico_serve_cache_misses_total Shared eval-cache lookups that had to compute.\n# TYPE unico_serve_cache_misses_total counter\nunico_serve_cache_misses_total {}\n",
+        "# HELP unico_serve_cache_misses_total Lookups that missed a job's own eval cache and the shared cache alike.\n# TYPE unico_serve_cache_misses_total counter\nunico_serve_cache_misses_total {}\n",
         stats.misses
     ));
     out.push_str(&format!(
-        "# HELP unico_serve_cache_entries Shared eval-cache resident entries.\n# TYPE unico_serve_cache_entries gauge\nunico_serve_cache_entries {}\n",
+        "# HELP unico_serve_cache_entries Entries resident in the shared eval cache (the union of every job's computes).\n# TYPE unico_serve_cache_entries gauge\nunico_serve_cache_entries {}\n",
         stats.entries
     ));
     out.push_str(&format!(
-        "# HELP unico_serve_cache_hit_rate Shared eval-cache hit rate over all lookups.\n# TYPE unico_serve_cache_hit_rate gauge\nunico_serve_cache_hit_rate {}\n",
+        "# HELP unico_serve_cache_hit_rate Shared eval-cache hit rate over the lookups that missed a job's own cache.\n# TYPE unico_serve_cache_hit_rate gauge\nunico_serve_cache_hit_rate {}\n",
         stats.hit_rate()
     ));
 

@@ -1,9 +1,12 @@
 //! The bounded worker-pool scheduler behind the HTTP API.
 //!
-//! Jobs queue FIFO and run on a fixed number of worker threads. All
-//! jobs share one process-wide [`EvalCache`], so two jobs over the
-//! same workload warm each other's PPA evaluations — the cross-job
-//! hit counters surface in `/metrics`.
+//! Jobs queue FIFO and run on a fixed number of worker threads. Every
+//! job evaluates through its own [`EvalCache`] backed by the
+//! scheduler's shared one, so two jobs over the same workload warm each
+//! other's PPA evaluations — the shared cache's hit counters, which
+//! count lookups that missed a job's own cache, surface in `/metrics` —
+//! while a job's report counters, checkpoint trace and resume cover its
+//! own lookups only, whichever other jobs ran before it.
 //!
 //! Durability: every job checkpoints to its own file at the cadence
 //! its spec asks for, and every lifecycle transition is persisted to
@@ -614,28 +617,30 @@ impl RunObserver for JobObserver<'_> {
 /// resumes) the job. Returns the outcome plus the run's final
 /// telemetry snapshot for scheduler-level aggregation.
 ///
-/// When the cache carries a disk tier, peers' segments are absorbed
-/// before the run and this run's new entries are flushed after it — a
-/// kill mid-run loses the pending buffer exactly like a killed
-/// process would, which the chaos oracles rely on.
+/// The job evaluates through a fresh cache of its own with `shared` as
+/// its backing tier. When the shared cache carries a disk tier, peers'
+/// segments are absorbed before the run and this run's new entries are
+/// flushed after it — a kill mid-run loses the pending buffer exactly
+/// like a killed process would, which the chaos oracles rely on.
 pub(crate) fn execute(
     spec: &JobSpec,
     paths: &JobPaths,
-    cache: Arc<EvalCache>,
+    shared: Arc<EvalCache>,
     job: &Job,
 ) -> (JobOutcome, TelemetrySnapshot) {
-    cache.refresh_disk();
-    let out = execute_inner(spec, paths, Arc::clone(&cache), job);
-    cache.flush_disk();
+    shared.refresh_disk();
+    let out = execute_inner(spec, paths, Arc::clone(&shared), job);
+    shared.flush_disk();
     out
 }
 
 fn execute_inner(
     spec: &JobSpec,
     paths: &JobPaths,
-    cache: Arc<EvalCache>,
+    shared: Arc<EvalCache>,
     job: &Job,
 ) -> (JobOutcome, TelemetrySnapshot) {
+    let cache = Arc::new(EvalCache::new().with_backing(shared));
     let mut graphs: Vec<ImportedGraph> = spec
         .workloads
         .iter()

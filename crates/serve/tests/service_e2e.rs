@@ -9,7 +9,8 @@
 //! to be byte-identical to an uninterrupted same-seed run.
 //!
 //! Plus: cross-job evaluation-cache sharing observable in `/metrics`,
-//! and NDJSON event streaming over a live connection.
+//! a job's checkpoint and report unchanged by a warm shared cache, and
+//! NDJSON event streaming over a live connection.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,6 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unico_model::EvalCache;
+use unico_serve::job::JobPaths;
 use unico_serve::metrics::validate_exposition;
 use unico_serve::{json, Scheduler, ServeConfig, Server};
 
@@ -217,6 +219,62 @@ fn two_jobs_sharing_a_workload_show_cache_hits_in_metrics() {
     assert!(
         text.contains("unico_serve_phase_seconds_total{phase="),
         "{text}"
+    );
+    server.shutdown();
+    sched.shutdown();
+}
+
+/// Runs one seeded job to completion on `sched` and returns its final
+/// checkpoint bytes and deterministic run report.
+fn run_to_completion(
+    server: &Server,
+    sched: &Scheduler,
+    dir: &std::path::Path,
+    seed: u64,
+) -> (Vec<u8>, String) {
+    let id = post_job(server.addr(), &seeded_spec(seed, None));
+    wait_for_state(server.addr(), &id, "completed");
+    let checkpoint = std::fs::read(JobPaths::new(dir, &id).checkpoint).expect("checkpoint");
+    let outcome = sched.get(&id).and_then(|j| j.outcome()).expect("outcome");
+    (checkpoint, outcome.deterministic_report_json)
+}
+
+#[test]
+fn warm_shared_cache_leaves_job_checkpoint_and_report_unchanged() {
+    // Reference: the job alone on a fresh daemon.
+    let fresh_dir = scratch("warm-shared-fresh");
+    let (server, sched) = boot(&fresh_dir, 1);
+    let (fresh_checkpoint, fresh_report) = run_to_completion(&server, &sched, &fresh_dir, 13);
+    server.shutdown();
+    sched.shutdown();
+
+    // The same spec after other jobs warmed the shared cache — one of
+    // them with the same seed, so every evaluation the job needs is
+    // already shared.
+    let warm_dir = scratch("warm-shared-warm");
+    let (server, sched) = boot(&warm_dir, 1);
+    for seed in [5, 13] {
+        run_to_completion(&server, &sched, &warm_dir, seed);
+    }
+    let before = sched.cache().stats();
+    let (checkpoint, report) = run_to_completion(&server, &sched, &warm_dir, 13);
+    let after = sched.cache().stats();
+    assert!(
+        checkpoint == fresh_checkpoint,
+        "a job's checkpoint must not depend on which jobs ran before it"
+    );
+    assert_eq!(report, fresh_report);
+    // Cross-job reuse is kept: every miss of the job's own cache was
+    // answered by the shared cache.
+    assert!(after.hits > before.hits, "{before:?} -> {after:?}");
+    assert_eq!(after.misses, before.misses, "{before:?} -> {after:?}");
+    // The checkpoint carries the job's own entries, not the daemon's.
+    let shared_trace = sched.cache().to_trace();
+    assert!(
+        checkpoint.len() < shared_trace.len(),
+        "checkpoint {} B vs shared trace {} B",
+        checkpoint.len(),
+        shared_trace.len()
     );
     server.shutdown();
     sched.shutdown();

@@ -96,8 +96,9 @@ fn boot(tag: &str, workers: usize) -> (Server, Arc<Scheduler>, Arc<EvalCache>, S
 }
 
 fn main() {
-    // Baseline: one daemon, one job — how many cache hits does a
-    // single run produce on its own (intra-run repeats only)?
+    // Baseline: one daemon, one job — how many shared-cache hits does a
+    // single run produce on its own? Its repeat lookups are answered by
+    // the job's own cache, so none should reach the shared one.
     let (server, sched, cache, addr) = boot("baseline", 1);
     let id = submit(addr, &spec(7));
     await_completion(addr, &id);
