@@ -1,21 +1,19 @@
-//! Batch-evaluation + incremental-GP benchmark, the committed
-//! trajectory behind `BENCH_batch_eval.json`.
+//! Evaluation + incremental-GP benchmark, the committed trajectory
+//! behind `BENCH_batch_eval.json`.
 //!
-//! Measures, on the analytical spatial engine:
+//! Measures, on the analytical spatial engine, the per-candidate price
+//! of `MappingCost::assess` (the one evaluation path every searcher
+//! reaches):
 //!
-//! * scalar vs batched candidate scoring with a **warm** evaluation
-//!   cache (the steady state of an SH round: every key hits; batching
-//!   amortizes key-prefix hashing and takes one lock per shard instead
-//!   of one per candidate);
-//! * scalar vs batched scoring with **no** cache (pure compute: the
-//!   structure-of-arrays path shares per-batch invariants across rows);
-//! * scalar vs batched scoring against one **shared** warm cache from
-//!   several threads (the service-mode steady state the sharded batch
-//!   pass was designed for: one lock acquisition and one counter flush
-//!   per shard per cohort instead of one per candidate);
+//! * with a **warm** evaluation cache (the steady state of an SH round:
+//!   every key hits);
+//! * with **no** cache (pure compute: one stack `MappingRow` per
+//!   candidate);
+//! * against one **shared** warm cache from several threads (shard
+//!   locks and counters contended across cores);
 //! * the annealing hot loop: `AnnealingSearch::run_until` for 4096 steps
-//!   on an edge bound cost with a fresh cache — the per-candidate scalar
-//!   path as the default mapping tool drives it;
+//!   on an edge bound cost with a fresh cache — the per-candidate path
+//!   as the default mapping tool drives it;
 //!
 //! on the cycle-level Ascend-like simulator:
 //!
@@ -36,19 +34,12 @@
 //! override with `--out <file>`), schema
 //! `unico.bench.batch_eval.v1`: `{"schema", "entries": [{"name",
 //! "metric", "value"}, ...]}` with throughputs in candidates/s, fit
-//! and acquisition times in seconds, and derived speedup ratios. The
-//! scalar columns time the per-candidate `MappingCost::assess` loop
-//! that annealing runs on. That loop shares the batched path's key
-//! function and row body and allocates nothing per candidate, so the
-//! ratios measure what batching still adds — one lock acquisition and
-//! counter flush per shard per cohort instead of one per candidate —
-//! not a slower scalar implementation. CI
+//! and acquisition times in seconds, and derived speedup ratios. CI
 //! runs the binary in release and asserts the JSON parses with
-//! non-empty entries; the acceptance floors (batched >= 2x scalar
-//! warm-cache and contended throughput, incremental >= 5x faster than
-//! full fits at n >= 64) are asserted at commit time, not per CI run,
-//! so a noisy runner cannot flake the build — the binary only warns on
-//! stderr if a floor is missed.
+//! non-empty entries; the acceptance floor (incremental >= 5x faster
+//! than full fits at n >= 64) is asserted at commit time, not per CI
+//! run, so a noisy runner cannot flake the build — the binary only
+//! warns on stderr if the floor is missed.
 
 use std::time::Duration;
 
@@ -135,109 +126,55 @@ fn bench_eval(b: &mut MicroBench, entries: &mut Vec<Entry>) {
         };
         let regime = if cached { "warm_cache" } else { "uncached" };
         let cost = p.bind(&hw, &nest);
-
         let row = b.run(&format!("eval/{regime}/scalar"), || {
             mappings
                 .iter()
                 .map(|m| cost.assess(m).is_some() as u64)
                 .sum::<u64>()
         });
-        let scalar_tp = throughput(row.median_ns);
         entries.push(entry(
             format!("eval_throughput/{regime}/scalar"),
             "candidates_per_s",
-            scalar_tp,
+            throughput(row.median_ns),
         ));
-
-        let row = b.run(&format!("eval/{regime}/batched"), || {
-            cost.assess_batch(&mappings)
-                .iter()
-                .map(|o| o.is_some() as u64)
-                .sum::<u64>()
-        });
-        let batch_tp = throughput(row.median_ns);
-        entries.push(entry(
-            format!("eval_throughput/{regime}/batched"),
-            "candidates_per_s",
-            batch_tp,
-        ));
-
-        let speedup = batch_tp / scalar_tp;
-        entries.push(entry(
-            format!("speedup/{regime}/batched_over_scalar"),
-            "ratio",
-            speedup,
-        ));
-        if cached && speedup < 2.0 {
-            eprintln!(
-                "WARNING: warm-cache batched speedup {speedup:.2}x below the 2x acceptance floor"
-            );
-        }
     }
 }
 
-/// The regime the sharded batch pass was designed for: several threads
-/// scoring cohorts against one shared warm cache (service mode shares a
-/// single `EvalCache` across concurrent jobs). The scalar path takes a
-/// shard lock and bumps a shard counter **per candidate**, so the lock
-/// and counter cachelines ping-pong between cores; the batch pass takes
-/// each shard lock once per cohort and flushes counters once per shard.
-/// The 2x acceptance floor is asserted here.
+/// Several threads scoring the cohort against one shared warm cache
+/// (service mode backs every job's cache with one daemon-wide
+/// `EvalCache`). Each candidate takes a shard lock and bumps a shard
+/// counter, so the lock and counter cachelines move between cores.
 fn bench_eval_contended(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     const THREADS: usize = 4;
     const PASSES: usize = 32;
     let (nest, hw, mappings) = workload();
 
-    let mut tp = [0.0f64; 2];
-    for batched in [false, true] {
-        let cache = std::sync::Arc::new(EvalCache::new());
-        let p = SpatialPlatform::edge().with_eval_cache(std::sync::Arc::clone(&cache));
-        let _ = p.evaluate_batch(&hw, &nest, &mappings);
-        let cost = p.bind(&hw, &nest);
-        let mode = if batched { "batched" } else { "scalar" };
-        let row = b.run(&format!("eval/contended/{mode}"), || {
-            std::thread::scope(|s| {
-                for _ in 0..THREADS {
-                    s.spawn(|| {
-                        let mut feasible = 0u64;
-                        for _ in 0..PASSES {
-                            if batched {
-                                feasible += cost
-                                    .assess_batch(&mappings)
-                                    .iter()
-                                    .map(|o| o.is_some() as u64)
-                                    .sum::<u64>();
-                            } else {
-                                feasible += mappings
-                                    .iter()
-                                    .map(|m| cost.assess(m).is_some() as u64)
-                                    .sum::<u64>();
-                            }
-                        }
-                        std::hint::black_box(feasible)
-                    });
-                }
-            });
+    let p = SpatialPlatform::edge().with_eval_cache(std::sync::Arc::new(EvalCache::new()));
+    let _ = p.evaluate_batch(&hw, &nest, &mappings);
+    let cost = p.bind(&hw, &nest);
+    let row = b.run("eval/contended/scalar", || {
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let mut feasible = 0u64;
+                    for _ in 0..PASSES {
+                        feasible += mappings
+                            .iter()
+                            .map(|m| cost.assess(m).is_some() as u64)
+                            .sum::<u64>();
+                    }
+                    std::hint::black_box(feasible)
+                });
+            }
         });
-        // The scope covers THREADS * PASSES passes over the cohort.
-        let per_pass_ns = row.median_ns / (THREADS * PASSES) as f64;
-        tp[usize::from(batched)] = throughput(per_pass_ns);
-        entries.push(entry(
-            format!("eval_throughput/contended/{mode}"),
-            "candidates_per_s",
-            tp[usize::from(batched)],
-        ));
-    }
-
-    let speedup = tp[1] / tp[0];
+    });
+    // The scope covers THREADS * PASSES passes over the cohort.
+    let per_pass_ns = row.median_ns / (THREADS * PASSES) as f64;
     entries.push(entry(
-        "speedup/contended/batched_over_scalar",
-        "ratio",
-        speedup,
+        "eval_throughput/contended/scalar",
+        "candidates_per_s",
+        throughput(per_pass_ns),
     ));
-    if speedup < 2.0 {
-        eprintln!("WARNING: contended batched speedup {speedup:.2}x below the 2x acceptance floor");
-    }
 }
 
 /// Steps of one measured annealing run.

@@ -438,18 +438,6 @@ impl MappingCost for BoundAscendCost<'_> {
         })
     }
 
-    fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        let Some(cache) = self.cache else {
-            return mappings.iter().map(|m| self.assess(m)).collect();
-        };
-        let keys: Vec<EvalKey> = mappings.iter().map(|m| self.eval_key(m)).collect();
-        cache
-            .get_or_compute_batch(&keys, |i| self.evaluate(&mappings[i]))
-            .into_iter()
-            .map(outcome)
-            .collect()
-    }
-
     fn eval_cost_seconds(&self) -> f64 {
         self.model.eval_cost_seconds(&self.nest)
     }

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use unico_model::{BatchStats, EvalCache, Platform};
+use unico_model::{EvalCache, Platform};
 use unico_search::sh::{self, ShConfig};
 use unico_search::{
     Assessment, CacheReport, CacheStats, CoSearchEnv, Counter, FaultContext, HwSession,
@@ -423,7 +423,6 @@ fn restore_state<P: Platform>(
 /// exclude `engine_threads_spawned` (a resumed run spawns its own
 /// pool), so a resumed run's totals line up exactly with an
 /// uninterrupted run's.
-#[allow(clippy::too_many_arguments)]
 fn build_checkpoint<P: Platform>(
     cfg: &UnicoConfig,
     env: &CoSearchEnv<'_, P>,
@@ -432,15 +431,10 @@ fn build_checkpoint<P: Platform>(
     telemetry: &Telemetry,
     engine: &MappingEngine,
     cache_start: Option<&CacheStats>,
-    batch_start: Option<&BatchStats>,
 ) -> Checkpoint {
     let platform = env.platform();
     let cache_delta = match (platform.eval_cache(), cache_start) {
         (Some(c), Some(start)) => Some((c.stats().delta_since(start), c.to_trace())),
-        _ => None,
-    };
-    let batch_delta = match (platform.eval_cache(), batch_start) {
-        (Some(c), Some(start)) => Some(c.batch_stats().delta_since(start)),
         _ => None,
     };
     let m = engine.metrics();
@@ -457,8 +451,6 @@ fn build_checkpoint<P: Platform>(
             Counter::CacheHits => cache_delta.as_ref().map_or(0, |(d, _)| d.hits),
             Counter::CacheMisses => cache_delta.as_ref().map_or(0, |(d, _)| d.misses),
             Counter::CacheEvictions => cache_delta.as_ref().map_or(0, |(d, _)| d.evictions),
-            Counter::CacheBatchLookups => batch_delta.as_ref().map_or(0, |d| d.lookups),
-            Counter::CacheBatchKeys => batch_delta.as_ref().map_or(0, |d| d.keys),
             _ => 0,
         };
         counters.insert(c.name().to_string(), telemetry.get(c) + extra);
@@ -700,7 +692,6 @@ impl Unico {
         }
         let engine = MappingEngine::new((cfg.workers as usize).max(1));
         let cache_start = env.platform().eval_cache().map(EvalCache::stats);
-        let batch_start = env.platform().eval_cache().map(EvalCache::batch_stats);
         let mut guard = CheckpointGuard::default();
         let mut iterations_done = st.start_iter;
         let mut cancelled = false;
@@ -880,7 +871,6 @@ impl Unico {
                     &telemetry,
                     &engine,
                     cache_start.as_ref(),
-                    batch_start.as_ref(),
                 );
                 guard.arm(snap, policy.path.clone());
                 if opts.kill_after == Some(done) {
@@ -909,11 +899,6 @@ impl Unico {
         telemetry.add(Counter::EngineBatches, m.batches);
         telemetry.add(Counter::EnginePanics, m.panics_contained);
         telemetry.add(Counter::EngineThreadsSpawned, m.threads_spawned);
-        if let (Some(cache), Some(start)) = (env.platform().eval_cache(), batch_start) {
-            let d = cache.batch_stats().delta_since(&start);
-            telemetry.add(Counter::CacheBatchLookups, d.lookups);
-            telemetry.add(Counter::CacheBatchKeys, d.keys);
-        }
         let cache_delta = match (env.platform().eval_cache(), cache_start) {
             (Some(cache), Some(start)) => {
                 let d = cache.stats().delta_since(&start);

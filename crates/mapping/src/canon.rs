@@ -139,8 +139,8 @@ impl CanonicalMapping {
 
     /// Computes only the canonical temporal order into a caller-provided
     /// stack buffer, returning its length — the allocation-free core of
-    /// [`CanonicalMapping::of`], for batched cache-key building where the
-    /// trip counts are already at hand.
+    /// [`CanonicalMapping::of`], for cache-key building where the trip
+    /// counts are already at hand.
     ///
     /// `buf[..len]` holds `order` with unit loops (trip count 1 at both
     /// levels) removed and maximal reduction runs sorted; see the module
@@ -242,7 +242,7 @@ impl CanonicalMapping {
     /// `CanonicalMapping::of(mapping, nest).hash_into(h)`: canonicalizes
     /// the temporal order into a stack buffer and streams the identical
     /// bytes. This is the hot path of cache-key building — one call per
-    /// candidate per cohort — where the `order` vec of
+    /// assessed candidate — where the `order` vec of
     /// [`CanonicalMapping::of`] would be a per-candidate heap
     /// allocation. Byte-equality with the materialized form is pinned
     /// by a unit test.

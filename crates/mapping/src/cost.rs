@@ -58,11 +58,10 @@ pub trait MappingCost {
     /// Scores a whole batch of candidates, element `i` of the result
     /// corresponding to `mappings[i]`.
     ///
-    /// The default loops [`MappingCost::assess`]; cache-backed adapters
-    /// override it to take each cache shard's lock once per batch
-    /// instead of once per candidate. Overrides must return
-    /// exactly what per-candidate `assess` calls in slice order would —
-    /// searchers rely on this for bitwise-reproducible runs.
+    /// The default loops [`MappingCost::assess`] in slice order, and
+    /// every cost in the workspace uses it; an override (a timing
+    /// wrapper, say) must return exactly what those per-candidate calls
+    /// would — searchers rely on this for bitwise-reproducible runs.
     fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
         mappings.iter().map(|m| self.assess(m)).collect()
     }

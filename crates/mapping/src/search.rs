@@ -64,8 +64,8 @@ impl Incumbent {
 /// Candidate chunk size for the batch-assessing searchers (random and
 /// genetic). Candidate *generation* consumes the RNG and assessment does
 /// not, so generating a chunk up front and batch-assessing it produces
-/// the same RNG stream, history and incumbent as the scalar interleaving
-/// — only the evaluation throughput changes.
+/// the same RNG stream, history and incumbent as the scalar
+/// interleaving.
 const ASSESS_CHUNK: usize = 64;
 
 /// Offers each `(mapping, outcome)` pair to the incumbent and pushes it
@@ -143,10 +143,11 @@ impl MappingSearcher for RandomSearch {
 /// mapping mutations with a temperature schedule, restarting from the
 /// incumbent when stuck.
 ///
-/// Annealing assesses candidates one at a time by construction: each
-/// proposal and accept decision consumes RNG conditioned on the previous
-/// outcome, so there is no batch of independent candidates to hand to
-/// [`MappingCost::assess_batch`] without changing the RNG stream.
+/// Annealing calls [`MappingCost::assess`] one candidate at a time:
+/// each proposal and accept decision consumes RNG conditioned on the
+/// previous outcome, so the next candidate does not exist until the
+/// previous one is scored. That costs nothing, because every engine's
+/// [`MappingCost::assess_batch`] is the same per-candidate loop.
 #[derive(Debug)]
 pub struct AnnealingSearch {
     space: MappingSpace,

@@ -234,8 +234,8 @@ impl AnalyticalModel {
     /// Evaluates PPA, returning the detailed breakdown too.
     ///
     /// Derives the candidate's [`MappingRow`] on the stack and runs the
-    /// shared row body, so scalar and batched results are bitwise
-    /// identical by construction.
+    /// shared row body, so the breakdown and the scored outcome are
+    /// bitwise identical by construction.
     ///
     /// # Errors
     ///
@@ -424,8 +424,8 @@ pub enum MappingObjective {
 }
 
 /// Turns a cached/raw evaluation into a searcher outcome under the
-/// chosen objective. Shared by the scalar and batched adapter paths of
-/// both spatial engines.
+/// chosen objective. Shared by the bound costs of both spatial
+/// engines.
 pub(crate) fn outcome_of(
     r: Result<Ppa, EvalError>,
     objective: MappingObjective,
@@ -520,20 +520,6 @@ impl MappingCost for BoundSpatialCost<'_> {
             None => self.evaluate(mapping),
         };
         outcome_of(r, self.objective)
-    }
-
-    fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        let results: Vec<EvalResult> = match self.cache {
-            Some(cache) => {
-                let keys: Vec<EvalKey> = mappings.iter().map(|m| self.eval_key(m)).collect();
-                cache.get_or_compute_batch(&keys, |i| self.evaluate(&mappings[i]))
-            }
-            None => mappings.iter().map(|m| self.evaluate(m)).collect(),
-        };
-        results
-            .into_iter()
-            .map(|r| outcome_of(r, self.objective))
-            .collect()
     }
 
     fn eval_cost_seconds(&self) -> f64 {

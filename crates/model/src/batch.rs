@@ -9,11 +9,12 @@
 //!
 //! The engines' row bodies (`AnalyticalModel::evaluate_row`,
 //! `LoopCentricModel::evaluate_row`, and the fused-member pricing built
-//! on the former) take a `&MappingRow` plus the nest. Scalar and batched
-//! evaluation therefore run literally the same body: a batch is assessed
-//! one stack row at a time, with no per-field arrays. The differential
-//! suite in `tests/batch_differential.rs` pins scalar, batched and
-//! detailed evaluation to the same bits.
+//! on the former) take a `&MappingRow` plus the nest, so the scored
+//! outcome and the detailed breakdown run literally the same body. A
+//! batch (`MappingCost::assess_batch`) is a loop of scalar `assess`
+//! calls, one stack row at a time. The differential suite in
+//! `tests/batch_differential.rs` pins scalar, batch and detailed
+//! evaluation to the same bits.
 //!
 //! Cache keys are not derived from rows: the bound costs hash straight
 //! off the mapping (see `EvalKeyBuilder::mapping_full`), so a warm cache

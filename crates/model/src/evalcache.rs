@@ -287,10 +287,9 @@ enum Mode {
 
 /// Pass-through hasher for the shard maps. An [`EvalKey`] is already a
 /// 128-bit avalanched hash (two decorrelated fmix64 lanes), so pushing
-/// it through SipHash again is pure per-lookup overhead on both the
-/// scalar and batched paths. The map hash is the key's low 64 bits;
-/// shard selection uses the high 64, so bucket and shard indices stay
-/// decorrelated.
+/// it through SipHash again is pure per-lookup overhead. The map hash
+/// is the key's low 64 bits; shard selection uses the high 64, so
+/// bucket and shard indices stay decorrelated.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PassThroughHasher(u64);
 
@@ -358,28 +357,6 @@ struct Shard {
     evictions: AtomicU64,
 }
 
-/// Counters of the batched lookup path (separate from [`CacheStats`],
-/// whose hit/miss/eviction accounting is identical across the scalar
-/// and batch paths by design).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Non-empty [`EvalCache::get_or_compute_batch`] calls served.
-    pub lookups: u64,
-    /// Keys resolved through those calls (summed batch sizes).
-    pub keys: u64,
-}
-
-impl BatchStats {
-    /// Counter increments since `earlier`.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &BatchStats) -> BatchStats {
-        BatchStats {
-            lookups: self.lookups - earlier.lookups,
-            keys: self.keys - earlier.keys,
-        }
-    }
-}
-
 /// The second tier of an [`EvalCache`]: where a miss looks before
 /// computing.
 #[derive(Debug)]
@@ -428,8 +405,6 @@ pub struct EvalCache {
     shards: Vec<Shard>,
     capacity_per_shard: Option<usize>,
     mode: Mode,
-    batch_lookups: AtomicU64,
-    batch_keys: AtomicU64,
     /// Optional second tier, consulted on a miss (see [`Tier`]).
     tier: Option<Tier>,
 }
@@ -448,8 +423,6 @@ impl EvalCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             capacity_per_shard: None,
             mode: Mode::Record,
-            batch_lookups: AtomicU64::new(0),
-            batch_keys: AtomicU64::new(0),
             tier: None,
         }
     }
@@ -580,79 +553,6 @@ impl EvalCache {
         v
     }
 
-    /// Resolves a whole batch of keys in **one sharded pass**: keys are
-    /// grouped by shard, each shard's lock is acquired exactly once, and
-    /// the shard's keys are processed in ascending batch order with
-    /// evict-as-you-go — so hits, misses, evictions and the resident
-    /// entry set are identical to per-key [`EvalCache::get_or_compute`]
-    /// calls in batch order (including a key recomputing after a
-    /// mid-batch eviction under capacity pressure). Counter updates are
-    /// accumulated locally and flushed with a single atomic add per
-    /// counter per shard, instead of one lock acquisition and up to two
-    /// atomic increments per candidate.
-    ///
-    /// `compute(i)` prices candidate `i`; it runs under the shard lock,
-    /// preserving the compute-once-per-key guarantee. In replay mode a
-    /// miss panics exactly as in the scalar path.
-    pub fn get_or_compute_batch(
-        &self,
-        keys: &[EvalKey],
-        mut compute: impl FnMut(usize) -> EvalResult,
-    ) -> Vec<EvalResult> {
-        if !keys.is_empty() {
-            self.batch_lookups.fetch_add(1, Ordering::Relaxed);
-            self.batch_keys
-                .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        }
-        let mut out: Vec<Option<EvalResult>> = vec![None; keys.len()];
-        let mut by_shard: [Vec<usize>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        for (i, k) in keys.iter().enumerate() {
-            by_shard[k.shard()].push(i);
-        }
-        for (s, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[s];
-            let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
-            let mut map = shard.map.lock().expect("evalcache shard poisoned");
-            for &i in idxs {
-                let key = keys[i];
-                if let Some(v) = map.entries.get(&key) {
-                    hits += 1;
-                    out[i] = Some(*v);
-                    continue;
-                }
-                assert!(
-                    self.mode != Mode::Replay,
-                    "evalcache replay miss: key {} is not in the golden trace \
-                     (the run diverged from the recorded one)",
-                    key.to_hex()
-                );
-                misses += 1;
-                let v = match &self.tier {
-                    Some(tier) => tier.resolve(key, || compute(i)),
-                    None => compute(i),
-                };
-                evictions += map.insert(key, v, self.capacity_per_shard);
-                out[i] = Some(v);
-            }
-            drop(map);
-            if hits > 0 {
-                shard.hits.fetch_add(hits, Ordering::Relaxed);
-            }
-            if misses > 0 {
-                shard.misses.fetch_add(misses, Ordering::Relaxed);
-            }
-            if evictions > 0 {
-                shard.evictions.fetch_add(evictions, Ordering::Relaxed);
-            }
-        }
-        out.into_iter()
-            .map(|v| v.expect("every batch key resolved"))
-            .collect()
-    }
-
     /// Peeks without computing or counting a miss (hits still count).
     pub fn get(&self, key: EvalKey) -> Option<EvalResult> {
         let shard = &self.shards[key.shard()];
@@ -698,14 +598,6 @@ impl EvalCache {
                 .len() as u64;
         }
         s
-    }
-
-    /// Counters of the batched lookup path (see [`BatchStats`]).
-    pub fn batch_stats(&self) -> BatchStats {
-        BatchStats {
-            lookups: self.batch_lookups.load(Ordering::Relaxed),
-            keys: self.batch_keys.load(Ordering::Relaxed),
-        }
     }
 
     /// Serializes every entry to the golden-trace format: a header line
@@ -1016,6 +908,26 @@ mod tests {
         assert!(cache.get(key(base | 3)).is_some());
     }
 
+    /// A key re-requested after FIFO eviction is a fresh miss, and each
+    /// evicted entry counts once: 6 distinct keys through a cap-2 shard,
+    /// then key 0 (evicted) and key 5 (still resident) again.
+    #[test]
+    fn evicted_key_recomputes_and_each_eviction_counts_once() {
+        let cache = EvalCache::with_capacity_per_shard(2);
+        let base = 5u128 << 64; // all on one shard
+        let calls = AtomicUsize::new(0);
+        for i in [0u128, 1, 2, 3, 4, 5, 0, 5] {
+            let v = cache.get_or_compute(key(base | i), || {
+                calls.fetch_add(1, Ordering::Relaxed);
+                ppa(2.0)
+            });
+            assert_eq!(v, ppa(2.0));
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (1, 7, 5, 2));
+        assert_eq!(calls.load(Ordering::Relaxed), 7);
+    }
+
     #[test]
     fn only_capped_caches_keep_a_fifo() {
         let fifo_len = |c: &EvalCache| -> usize {
@@ -1027,10 +939,9 @@ mod tests {
         let keys: Vec<EvalKey> = (0..40u128).map(|i| key((i << 64) | i)).collect();
         let trace = {
             let c = EvalCache::new();
-            for k in &keys[..20] {
+            for k in &keys {
                 let _ = c.get_or_compute(*k, || ppa(1.0));
             }
-            let _ = c.get_or_compute_batch(&keys[20..], |_| ppa(1.0));
             assert_eq!(c.len(), 40);
             assert_eq!(fifo_len(&c), 0, "uncapped cache must keep no FIFO");
             c.to_trace()
@@ -1104,74 +1015,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_lookup_matches_scalar_counters_and_contents() {
-        // Keys spread over several shards, with duplicates inside the
-        // batch: the batched pass must produce exactly the scalar
-        // counters and resident set.
-        let keys: Vec<EvalKey> = [0u128, 1, 2, 33, 1, 0, 7, 2]
-            .iter()
-            .map(|&i| key((i << 64) | i))
-            .collect();
-        let scalar = EvalCache::new();
-        let scalar_out: Vec<EvalResult> = keys
-            .iter()
-            .map(|k| scalar.get_or_compute(*k, || ppa(1.0)))
-            .collect();
-        let batched = EvalCache::new();
-        let calls = AtomicUsize::new(0);
-        let batch_out = batched.get_or_compute_batch(&keys, |_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            ppa(1.0)
-        });
-        assert_eq!(scalar_out, batch_out);
-        assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!(scalar.to_trace(), batched.to_trace());
-        // Compute ran once per distinct key only.
-        assert_eq!(calls.load(Ordering::Relaxed), 5);
-        assert_eq!(batched.stats().hits, 3);
-    }
-
-    /// The satellite fix: a FIFO-capped shard absorbing a whole batch
-    /// must account evictions exactly as the scalar path does — one per
-    /// evicted entry, not one per candidate — including a key that is
-    /// re-requested after being evicted mid-batch.
-    #[test]
-    fn batch_eviction_accounting_under_capacity_pressure_matches_scalar() {
-        let base = 5u128 << 64; // all on one shard
-                                // 6 inserts through a cap-2 shard, then re-request key 0 (which
-                                // was evicted mid-batch) and key 5 (still resident).
-        let seq: Vec<EvalKey> = [0u128, 1, 2, 3, 4, 5, 0, 5]
-            .iter()
-            .map(|&i| key(base | i))
-            .collect();
-
-        let scalar = EvalCache::with_capacity_per_shard(2);
-        let scalar_out: Vec<EvalResult> = seq
-            .iter()
-            .map(|k| scalar.get_or_compute(*k, || ppa(2.0)))
-            .collect();
-
-        let batched = EvalCache::with_capacity_per_shard(2);
-        let batch_out = batched.get_or_compute_batch(&seq, |_| ppa(2.0));
-
-        assert_eq!(scalar_out, batch_out);
-        let (s, b) = (scalar.stats(), batched.stats());
-        assert_eq!(s, b, "scalar {s:?} vs batched {b:?}");
-        // Pin the absolute numbers so the accounting rule itself is
-        // locked: 7 distinct computes (key 0 twice: evicted mid-batch),
-        // 1 hit (key 5), 5 evictions — NOT one per candidate.
-        assert_eq!((b.hits, b.misses, b.evictions, b.entries), (1, 7, 5, 2));
-        assert_eq!(scalar.to_trace(), batched.to_trace());
-    }
-
-    #[test]
-    #[should_panic(expected = "replay miss")]
-    fn batch_replay_miss_panics() {
-        let replay = EvalCache::from_trace("unico.evaltrace.v1 0\n").expect("parse");
-        let _ = replay.get_or_compute_batch(&[key(4)], |_| ppa(1.0));
-    }
-
     /// A job cache over a shared one: `keys` resolved through the job
     /// cache, counting computes.
     fn job_over(shared: &Arc<EvalCache>, keys: &[EvalKey], calls: &AtomicUsize) -> EvalCache {
@@ -1234,38 +1077,6 @@ mod tests {
         assert_eq!(resumed.load_trace(&job.to_trace()), Ok(3));
         assert_eq!(shared2.to_trace(), job.to_trace());
         assert_eq!(resumed.stats().lookups() + shared2.stats().lookups(), 0);
-    }
-
-    #[test]
-    fn batch_over_a_backing_keeps_scalar_counters() {
-        let keys: Vec<EvalKey> = [0u128, 1, 2, 33, 1, 0, 7, 2]
-            .iter()
-            .map(|&i| key((i << 64) | i))
-            .collect();
-        let warm = |shared: &EvalCache| {
-            let _ = shared.get_or_compute(keys[2], || ppa(1.0));
-            let _ = shared.get_or_compute(keys[6], || ppa(1.0));
-        };
-        let scalar_shared = Arc::new(EvalCache::new());
-        warm(&scalar_shared);
-        let scalar = EvalCache::new().with_backing(Arc::clone(&scalar_shared));
-        let scalar_out: Vec<EvalResult> = keys
-            .iter()
-            .map(|k| scalar.get_or_compute(*k, || ppa(1.0)))
-            .collect();
-        let batch_shared = Arc::new(EvalCache::new());
-        warm(&batch_shared);
-        let batched = EvalCache::new().with_backing(Arc::clone(&batch_shared));
-        let batch_out = batched.get_or_compute_batch(&keys, |_| ppa(1.0));
-        assert_eq!(scalar_out, batch_out);
-        assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!((batched.stats().hits, batched.stats().misses), (3, 5));
-        assert_eq!(scalar_shared.stats(), batch_shared.stats());
-        assert_eq!(
-            (batch_shared.stats().hits, batch_shared.stats().misses),
-            (2, 5)
-        );
-        assert_eq!(scalar.to_trace(), batched.to_trace());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use analytical::{AnalyticalModel, BoundSpatialCost, EvalBreakdown, MappingOb
 pub use batch::MappingRow;
 pub use disktier::{DiskTier, DiskTierStats};
 pub use evalcache::{
-    spatial_eval_key, spatial_key_prefix, BatchStats, CacheStats, EngineTag, EvalCache, EvalKey,
+    spatial_eval_key, spatial_key_prefix, CacheStats, EngineTag, EvalCache, EvalKey,
     EvalKeyBuilder, EvalResult, TraceError, SHARD_COUNT, TRACE_HEADER,
 };
 pub use fused::{

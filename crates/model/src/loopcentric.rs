@@ -100,8 +100,8 @@ impl LoopCentricModel {
     /// Evaluates PPA with the per-level breakdown.
     ///
     /// Derives the candidate's [`MappingRow`] on the stack and runs the
-    /// shared row body, so scalar and batched results are bitwise
-    /// identical by construction.
+    /// shared row body, so the breakdown and the scored outcome are
+    /// bitwise identical by construction.
     ///
     /// # Errors
     ///
@@ -415,20 +415,6 @@ impl MappingCost for BoundLoopCentricCost<'_> {
             None => self.evaluate(mapping),
         };
         outcome_of(r, self.objective)
-    }
-
-    fn assess_batch(&self, mappings: &[Mapping]) -> Vec<Option<MappingOutcome>> {
-        let results: Vec<EvalResult> = match self.cache {
-            Some(cache) => {
-                let keys: Vec<EvalKey> = mappings.iter().map(|m| self.eval_key(m)).collect();
-                cache.get_or_compute_batch(&keys, |i| self.evaluate(&mappings[i]))
-            }
-            None => mappings.iter().map(|m| self.evaluate(m)).collect(),
-        };
-        results
-            .into_iter()
-            .map(|r| outcome_of(r, self.objective))
-            .collect()
     }
 
     fn eval_cost_seconds(&self) -> f64 {

@@ -64,10 +64,9 @@ pub trait Platform: Sync {
     /// element `i` corresponding to `mappings[i]`.
     ///
     /// The default binds a cost oracle and delegates to
-    /// [`MappingCost::assess_batch`], which PPA-backed adapters override
-    /// to walk the evaluation cache with one lock acquisition per shard
-    /// per batch. Results are bitwise identical
-    /// to per-candidate `evaluate`/`assess` calls in slice order.
+    /// [`MappingCost::assess_batch`], so results are bitwise identical
+    /// to per-candidate `assess` calls in slice order (cache lookups
+    /// included).
     fn evaluate_batch(
         &self,
         hw: &Self::Hw,

@@ -61,12 +61,6 @@ pub enum Counter {
     CacheMisses,
     /// Cache entries dropped by per-shard FIFO eviction.
     CacheEvictions,
-    /// Batched cache lookups performed (one per `get_or_compute_batch`
-    /// call with a non-empty key set).
-    CacheBatchLookups,
-    /// Keys resolved through batched cache lookups (the summed batch
-    /// sizes; `keys / lookups` is the mean eval batch width).
-    CacheBatchKeys,
     /// Faults injected by a deterministic fault plan (all kinds).
     FaultsInjected,
     /// Injected evaluation errors.
@@ -105,7 +99,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 30] = [
         Counter::MappingEvals,
         Counter::GpFits,
         Counter::GpFitsIncremental,
@@ -122,8 +116,6 @@ impl Counter {
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheEvictions,
-        Counter::CacheBatchLookups,
-        Counter::CacheBatchKeys,
         Counter::FaultsInjected,
         Counter::FaultErrors,
         Counter::FaultPanics,
@@ -159,8 +151,6 @@ impl Counter {
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
             Counter::CacheEvictions => "cache_evictions",
-            Counter::CacheBatchLookups => "cache_batch_lookups",
-            Counter::CacheBatchKeys => "cache_batch_keys",
             Counter::FaultsInjected => "faults_injected",
             Counter::FaultErrors => "fault_errors",
             Counter::FaultPanics => "fault_panics",

@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use unico_camodel::AscendPlatform;
-use unico_core::checkpoint::{self, CheckpointPolicy};
+use unico_core::checkpoint::CheckpointPolicy;
 use unico_core::{IterationUpdate, RunObserver, RunOptions, Unico, UnicoResult};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
 use unico_search::{CoSearchEnv, TelemetrySnapshot};
@@ -218,12 +218,6 @@ impl Scheduler {
                 "unico-served: ignoring corrupt manifest {}: {err}",
                 path.display()
             );
-        }
-        // The checkpoint scan is advisory here (manifests drive the
-        // requeue), but it rejects checkpoints that would fail later.
-        let scan = checkpoint::scan_dir(&self.state_dir)?;
-        for (path, err) in &scan.corrupt {
-            eprintln!("unico-served: corrupt checkpoint {}: {err}", path.display());
         }
         let mut max_id = 0u64;
         for m in manifests {
@@ -949,6 +943,61 @@ mod tests {
         assert_eq!(sched2.counters.resumed.load(Ordering::Relaxed), 1);
         let outcome = recovered.outcome().expect("outcome");
         assert_eq!(outcome.iterations_done, 2);
+        sched2.shutdown();
+    }
+
+    /// Recovery reads manifests only. A requeued job whose checkpoint
+    /// is corrupt boots fine and then fails on resume, and the error
+    /// names the checkpoint.
+    #[test]
+    fn corrupt_checkpoint_of_a_running_job_fails_it_on_resume() {
+        let dir = scratch("corrupt-running");
+        let id = "job-000004";
+        let paths = JobPaths::new(&dir, id);
+        let job = Job::new(id.to_string(), tiny_spec(4));
+        assert!(job.set_state(JobState::Running));
+        job::write_manifest(&paths, &job).expect("manifest");
+        std::fs::write(&paths.checkpoint, "not a checkpoint").expect("checkpoint");
+
+        let sched = Scheduler::start(&cfg(dir), Arc::new(EvalCache::new())).expect("boot");
+        let recovered = sched.get(id).expect("job recovered");
+        assert_eq!(wait_terminal(&recovered), JobState::Failed);
+        let err = recovered.error().expect("failure message");
+        assert!(
+            err.contains(&paths.checkpoint.display().to_string()),
+            "error must name the checkpoint: {err}"
+        );
+        assert_eq!(sched.counters.failed.load(Ordering::Relaxed), 1);
+        sched.shutdown();
+    }
+
+    /// A completed job's checkpoint is never read again: corrupting it
+    /// leaves the job completed across a reboot, its result untouched.
+    #[test]
+    fn corrupt_checkpoint_of_a_completed_job_is_not_read() {
+        let dir = scratch("corrupt-completed");
+        let sched = Scheduler::start(&cfg(dir.clone()), Arc::new(EvalCache::new())).expect("boot");
+        let job = sched.submit(tiny_spec(6)).expect("submit");
+        assert_eq!(wait_terminal(&job), JobState::Completed);
+        sched.shutdown();
+        let paths = JobPaths::new(&dir, &job.id);
+        let result = std::fs::read_to_string(&paths.result).expect("result file");
+        std::fs::write(&paths.checkpoint, "not a checkpoint").expect("corrupt");
+
+        let sched2 = Scheduler::start(&cfg(dir), Arc::new(EvalCache::new())).expect("reboot");
+        let recovered = sched2.get(&job.id).expect("job recovered");
+        assert_eq!(recovered.state(), JobState::Completed);
+        assert_eq!(recovered.error(), None);
+        let (events, closed) = recovered.events.snapshot();
+        assert!(closed);
+        assert_eq!(
+            events,
+            ["{\"event\":\"recovered\",\"state\":\"completed\"}"]
+        );
+        assert_eq!(
+            std::fs::read_to_string(&paths.result).expect("result file"),
+            result
+        );
         sched2.shutdown();
     }
 
