@@ -1,7 +1,7 @@
 //! The cycle-level Ascend-like core model.
 
 use unico_mapping::{Mapping, MappingCost, MappingOutcome};
-use unico_model::{EngineTag, EvalCache, EvalError, EvalKey, EvalKeyBuilder, Ppa};
+use unico_model::{CachePartition, EngineTag, EvalCache, EvalError, EvalKey, EvalKeyBuilder, Ppa};
 use unico_workloads::{Dim, LoopNest};
 
 use crate::config::AscendConfig;
@@ -335,12 +335,12 @@ impl AscendModel {
 /// [`MappingCost`] adapter binding the Ascend model to `(hw, nest)`.
 /// The cache-key prefix, area and MAC count are computed once at bind
 /// time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct BoundAscendCost<'a> {
     model: &'a AscendModel,
     hw: AscendConfig,
     nest: LoopNest,
-    cache: Option<&'a EvalCache>,
+    cache: Option<CachePartition<'a>>,
     key_prefix: EvalKeyBuilder,
     area_mm2: f64,
     macs: f64,
@@ -360,9 +360,10 @@ impl<'a> BoundAscendCost<'a> {
         }
     }
 
-    /// Memoizes evaluations in `cache`.
+    /// Memoizes evaluations in `cache`, in this binding's partition of
+    /// it ([`EvalCache::bind`]).
     pub fn with_cache(mut self, cache: Option<&'a EvalCache>) -> Self {
-        self.cache = cache;
+        self.cache = cache.map(|c| c.bind(&self.key_prefix));
         self
     }
 
@@ -432,7 +433,7 @@ fn outcome(r: Result<Ppa, EvalError>) -> Option<MappingOutcome> {
 
 impl MappingCost for BoundAscendCost<'_> {
     fn assess(&self, mapping: &Mapping) -> Option<MappingOutcome> {
-        outcome(match self.cache {
+        outcome(match &self.cache {
             Some(cache) => cache.get_or_compute(self.eval_key(mapping), || self.evaluate(mapping)),
             None => self.evaluate(mapping),
         })

@@ -11,7 +11,7 @@
 
 use std::f64::consts::PI;
 
-use unico_mapping::SearchHistory;
+use unico_mapping::{EvalRecord, SearchHistory};
 
 /// The paper's direction-penalty polynomial
 /// `F(θ) = 6/π²·θ² − 5/π·θ + 1` for `θ ∈ [0, π]`.
@@ -74,7 +74,13 @@ pub fn robustness_from_points(
 /// Returns `None` when the history has no feasible evaluations.
 pub fn robustness_of_history(history: &SearchHistory, alpha: f64) -> Option<f64> {
     let opt = history.best()?;
-    let sub = history.loss_quantile_record(alpha.clamp(0.0, 1.0))?;
+    let [sub] = history.loss_quantile_records([alpha.clamp(0.0, 1.0)])?;
+    robustness_of_records(opt, sub)
+}
+
+/// `R` of the sub-optimal record `sub` against the optimum `opt`;
+/// `None` when the optimum has no positive latency and power.
+fn robustness_of_records(opt: EvalRecord, sub: EvalRecord) -> Option<f64> {
     if opt.latency_s <= 0.0 || opt.power_mw <= 0.0 {
         return None;
     }
@@ -91,12 +97,15 @@ pub fn robustness_of_history(history: &SearchHistory, alpha: f64) -> Option<f64>
 /// (`{0.4α, α, 2α, 4α}`). A single percentile of a few-hundred-sample
 /// loss history is a noisy estimator; averaging nearby quantiles
 /// measurably tightens the correlation between `R` and generalization
-/// (see the Fig. 8 reproduction notes in EXPERIMENTS.md).
+/// (see the Fig. 8 reproduction notes in EXPERIMENTS.md). The history
+/// is sorted once for the whole ladder.
 pub fn robustness_ensemble(history: &SearchHistory, alpha: f64) -> Option<f64> {
-    let ladder = [0.4 * alpha, alpha, 2.0 * alpha, 4.0 * alpha];
-    let vals: Vec<f64> = ladder
-        .iter()
-        .filter_map(|&a| robustness_of_history(history, a.clamp(0.0, 1.0)))
+    let ladder = [0.4 * alpha, alpha, 2.0 * alpha, 4.0 * alpha].map(|a| a.clamp(0.0, 1.0));
+    let opt = history.best()?;
+    let vals: Vec<f64> = history
+        .loss_quantile_records(ladder)?
+        .into_iter()
+        .filter_map(|sub| robustness_of_records(opt, sub))
         .collect();
     if vals.is_empty() {
         None

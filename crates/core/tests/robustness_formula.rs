@@ -8,11 +8,12 @@
 
 use std::f64::consts::PI;
 
+use proptest::prelude::*;
 use unico_core::robustness::{
     aggregate_robustness, f_theta, robustness_ensemble, robustness_from_points,
     robustness_of_history,
 };
-use unico_mapping::{MappingOutcome, SearchHistory};
+use unico_mapping::{EvalRecord, MappingOutcome, SearchHistory};
 
 const TOL: f64 = 1e-12;
 
@@ -184,4 +185,88 @@ fn aggregate_is_mean_over_feasible_jobs() {
     let empty = SearchHistory::new();
     let agg_skip = aggregate_robustness(&[&sharp, &empty], 0.05).unwrap();
     assert!((agg_skip - a).abs() < TOL);
+}
+
+/// The per-quantile routine the ensemble used before it sorted once:
+/// one stable sort of the whole history for every quantile asked.
+fn reference_quantile_record(h: &SearchHistory, q: f64) -> Option<EvalRecord> {
+    let records = h.records();
+    if records.is_empty() {
+        return None;
+    }
+    let mut sorted: Vec<usize> = (0..records.len()).collect();
+    sorted.sort_by(|&a, &b| {
+        records[a]
+            .loss
+            .partial_cmp(&records[b].loss)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let pos = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
+    Some(records[sorted[pos]])
+}
+
+/// The ensemble built from [`reference_quantile_record`], one sort per
+/// ladder rung.
+fn reference_ensemble(h: &SearchHistory, alpha: f64) -> Option<f64> {
+    let vals: Vec<f64> = [0.4 * alpha, alpha, 2.0 * alpha, 4.0 * alpha]
+        .iter()
+        .filter_map(|&a| {
+            let opt = h.best()?;
+            let sub = reference_quantile_record(h, a.clamp(0.0, 1.0))?;
+            if opt.latency_s <= 0.0 || opt.power_mw <= 0.0 {
+                return None;
+            }
+            Some(robustness_from_points(
+                opt.latency_s,
+                opt.power_mw,
+                sub.latency_s.max(opt.latency_s),
+                sub.power_mw,
+            ))
+        })
+        .collect();
+    if vals.is_empty() {
+        None
+    } else {
+        Some(vals.iter().sum::<f64>() / vals.len() as f64)
+    }
+}
+
+/// Losses drawn from a small pool, so histories are full of ties, and
+/// including +∞ (a feasible but unusable candidate).
+const LOSS_POOL: [f64; 6] = [1.0, 2.0, 2.0, 3.5, f64::INFINITY, 0.5];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One sort per history reads the same records, and the ensemble
+    /// the same bits, as one sort per quantile.
+    #[test]
+    fn one_sort_matches_the_per_quantile_routine(
+        draws in proptest::collection::vec((0usize..LOSS_POOL.len(), 0u32..4), 0..80),
+        alpha in 0.0f64..0.3,
+    ) {
+        let mut h = SearchHistory::new();
+        for (i, &(pick, infeasible)) in draws.iter().enumerate() {
+            if infeasible == 0 {
+                h.push_infeasible();
+                continue;
+            }
+            let loss = LOSS_POOL[pick];
+            // Tied losses carry distinct latency/power, so a record taken
+            // from the wrong position among ties shows.
+            h.push(MappingOutcome {
+                loss,
+                latency_s: 1.0 + i as f64,
+                power_mw: 100.0 + (i % 7) as f64,
+            });
+        }
+        let ladder = [0.0, 0.4 * alpha, alpha, 2.0 * alpha, 4.0 * alpha, 1.0];
+        let want: Option<Vec<EvalRecord>> =
+            ladder.iter().map(|&q| reference_quantile_record(&h, q)).collect();
+        prop_assert_eq!(h.loss_quantile_records(ladder).map(Vec::from), want);
+        prop_assert_eq!(
+            robustness_ensemble(&h, alpha).map(f64::to_bits),
+            reference_ensemble(&h, alpha).map(f64::to_bits)
+        );
+    }
 }

@@ -180,6 +180,15 @@ impl SearchHistory {
     /// mapping — the `(1−α)` right-tail percentile of the loss history —
     /// for the robustness metric.
     pub fn loss_quantile_record(&self, q: f64) -> Option<EvalRecord> {
+        self.loss_quantile_records([q]).map(|[r]| r)
+    }
+
+    /// The records at quantiles `qs` of all feasible losses, in `qs`
+    /// order: [`SearchHistory::loss_quantile_record`] for each `q`, read
+    /// off one stable sort of the history instead of one sort per
+    /// quantile. Ties keep evaluation order; incomparable (NaN) losses
+    /// compare equal.
+    pub fn loss_quantile_records<const N: usize>(&self, qs: [f64; N]) -> Option<[EvalRecord; N]> {
         if self.records.is_empty() {
             return None;
         }
@@ -190,8 +199,8 @@ impl SearchHistory {
                 .partial_cmp(&self.records[b].loss)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let pos = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
-        Some(self.records[sorted[pos]])
+        let last = (sorted.len() - 1) as f64;
+        Some(qs.map(|q| self.records[sorted[(q.clamp(0.0, 1.0) * last).round() as usize]]))
     }
 
     /// Merges another history into this one, preserving step accounting

@@ -6,7 +6,7 @@ use unico_workloads::{Dim, LoopNest};
 
 use crate::batch::MappingRow;
 use crate::evalcache::{
-    spatial_key_prefix, EngineTag, EvalCache, EvalKey, EvalKeyBuilder, EvalResult,
+    spatial_key_prefix, CachePartition, EngineTag, EvalCache, EvalKey, EvalKeyBuilder, EvalResult,
 };
 use crate::hw::{Dataflow, HwConfig};
 use crate::ppa::{EvalError, Ppa};
@@ -451,14 +451,14 @@ pub(crate) fn outcome_of(
 /// so a per-candidate `assess` hashes the mapping onto a copied prefix
 /// and, on a miss, evaluates a stack-derived [`MappingRow`]: no heap
 /// allocation either way.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct BoundSpatialCost<'a> {
     model: &'a AnalyticalModel,
     hw: HwConfig,
     nest: LoopNest,
     eval_cost_s: f64,
     objective: MappingObjective,
-    cache: Option<&'a EvalCache>,
+    cache: Option<CachePartition<'a>>,
     key_prefix: EvalKeyBuilder,
     area_mm2: f64,
     macs: f64,
@@ -489,9 +489,10 @@ impl<'a> BoundSpatialCost<'a> {
     }
 
     /// Memoizes evaluations in `cache` (keys canonicalize the mapping,
-    /// so semantically equivalent candidates share entries).
+    /// so semantically equivalent candidates share entries), in this
+    /// binding's partition of it ([`EvalCache::bind`]).
     pub fn with_cache(mut self, cache: Option<&'a EvalCache>) -> Self {
-        self.cache = cache;
+        self.cache = cache.map(|c| c.bind(&self.key_prefix));
         self
     }
 
@@ -515,7 +516,7 @@ impl<'a> BoundSpatialCost<'a> {
 
 impl MappingCost for BoundSpatialCost<'_> {
     fn assess(&self, mapping: &Mapping) -> Option<MappingOutcome> {
-        let r = match self.cache {
+        let r = match &self.cache {
             Some(cache) => cache.get_or_compute(self.eval_key(mapping), || self.evaluate(mapping)),
             None => self.evaluate(mapping),
         };
@@ -679,7 +680,7 @@ mod tests {
         let n = nest();
         let mdl = model();
         let cost_lat = BoundSpatialCost::new(&mdl, hw(8, 4096, 512), n, 1.0);
-        let cost_edp = cost_lat.with_objective(MappingObjective::Edp);
+        let cost_edp = cost_lat.clone().with_objective(MappingObjective::Edp);
         let m = small_mapping(&n);
         let o_lat = cost_lat.assess(&m).unwrap();
         let o_edp = cost_edp.assess(&m).unwrap();

@@ -1,4 +1,4 @@
-//! Sharded, lock-striped memoization cache for PPA evaluations, with
+//! Memoization cache for PPA evaluations, partitioned by binding, with
 //! deterministic record/replay.
 //!
 //! UNICO's outer loop prices the same `(hardware, mapping, nest)` points
@@ -15,12 +15,30 @@
 //! dropped and reduction runs sorted, so semantically identical mappings
 //! share one entry — which is where most of the hit rate comes from.
 //!
-//! The cache is striped over [`SHARD_COUNT`] shards, each an independent
-//! `Mutex<HashMap>` with its own hit/miss/eviction counters, so
-//! concurrent mapping-search workers rarely contend. A miss computes
-//! **while holding the shard lock**: the same key is never evaluated
-//! twice, which keeps miss counts (and therefore run reports) exactly
-//! reproducible regardless of thread interleaving.
+//! # Partitions and shards
+//!
+//! Every mapping search prices candidates for one `(engine, hardware,
+//! nest)` binding, and every key of a binding extends that binding's key
+//! prefix. [`EvalCache::bind`] looks up, once per bound cost, the
+//! binding's own **partition**: a small table with its own lock and
+//! plain-integer counters, which the worker running that search keeps
+//! warm in its CPU caches. A run of a few thousand bindings therefore
+//! never probes one table of a hundred thousand entries.
+//!
+//! Entries stored without a binding — full-key
+//! [`EvalCache::get_or_compute`], [`EvalCache::from_trace`] and
+//! [`EvalCache::load_trace`] — live in [`SHARD_COUNT`] key-striped
+//! shards, each an independent locked table, so concurrent full-key
+//! callers (the daemon's shared cache) rarely contend. A key is stored
+//! once per cache whichever path stored it, and a lookup hits exactly
+//! when it is stored: a partition miss looks in the shards (only once
+//! any shard holds an entry), and a full-key insert looks in every
+//! partition (only once any partition exists). Traces, counters and
+//! tiers see full keys only, so where an entry lives never shows.
+//!
+//! A miss computes **while holding its table's lock**: the same key is
+//! never evaluated twice, which keeps miss counts (and therefore run
+//! reports) exactly reproducible regardless of thread interleaving.
 //!
 //! # Tiers
 //!
@@ -30,11 +48,13 @@
 //! gives every job its own cache backed by the daemon-wide one, so a
 //! job's counters, checkpoint trace and resume cover its own working
 //! set while evaluations are still priced once across jobs. Either way
-//! a tier hit counts as a **miss** of this cache, and the shard lock is
-//! held across the tier call, so each key is still computed once and
-//! counters stay deterministic. Locks are therefore always taken backed
-//! cache first, then backing; a backing never has a backing of its own,
-//! so the order cannot cycle.
+//! a tier hit counts as a **miss** of this cache, and the partition or
+//! shard lock is held across the tier call, so each key is still
+//! computed once and counters stay deterministic. A tier is always
+//! asked by full key: a job cache's partition miss is a full-key lookup
+//! of the shared cache. Locks are therefore always taken backed cache
+//! first, then backing; a backing never has a backing of its own, so
+//! the order cannot cycle.
 //!
 //! # Record / replay
 //!
@@ -48,8 +68,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use unico_mapping::{CanonicalMapping, Mapping, StableHasher};
 use unico_workloads::LoopNest;
@@ -63,8 +83,8 @@ use crate::ppa::{EvalError, Ppa};
 /// repeated probing of an overflowing tile is as cheap as a hit.
 pub type EvalResult = Result<Ppa, EvalError>;
 
-/// Number of lock stripes. Power of two; sized for the default 16-worker
-/// mapping engine.
+/// Number of key-striped shards for entries stored without a binding.
+/// Power of two; sized for the default 16-worker mapping engine.
 pub const SHARD_COUNT: usize = 16;
 
 /// Header line of the golden-trace format.
@@ -236,14 +256,14 @@ pub fn spatial_eval_key(
     b.finish()
 }
 
-/// Aggregated cache counters (summed over shards).
+/// Aggregated cache counters (summed over shards and partitions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to compute.
     pub misses: u64,
-    /// Entries dropped by per-shard FIFO eviction.
+    /// Entries dropped by FIFO eviction (capped caches only).
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
@@ -315,46 +335,74 @@ impl std::hash::BuildHasher for PassThroughState {
     }
 }
 
+/// One locked table's entries and counters. The counters are plain
+/// integers: every lookup that moves them holds the table's lock.
 #[derive(Debug, Default)]
-struct ShardMap {
+struct Table {
     entries: HashMap<EvalKey, EvalResult, PassThroughState>,
-    /// Insertion order for FIFO eviction; kept by capped caches only.
-    fifo: VecDeque<EvalKey>,
+    /// Insertion order per stripe ([`EvalKey::shard`]) for FIFO
+    /// eviction; kept by capped caches only, sized on first use.
+    fifos: Vec<VecDeque<EvalKey>>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl ShardMap {
-    /// Inserts a fresh entry. Under a capacity the key joins the FIFO
-    /// and the oldest entries are evicted down to `cap`; returns the
-    /// number evicted. An uncapped shard never evicts, so it keeps no
-    /// FIFO at all.
-    fn insert(&mut self, key: EvalKey, v: EvalResult, cap: Option<usize>) -> u64 {
+impl Table {
+    /// Stores a fresh entry without evicting; under a cap the key joins
+    /// its stripe's FIFO. An uncapped table keeps no FIFO at all.
+    fn store(&mut self, key: EvalKey, v: EvalResult, capped: bool) {
         self.entries.insert(key, v);
+        if capped {
+            if self.fifos.is_empty() {
+                self.fifos.resize_with(SHARD_COUNT, VecDeque::new);
+            }
+            self.fifos[key.shard()].push_back(key);
+        }
+    }
+
+    /// Stores a fresh entry and, under a cap, evicts the oldest entries
+    /// of its stripe down to `cap`, counting them.
+    fn insert(&mut self, key: EvalKey, v: EvalResult, cap: Option<usize>) {
+        self.store(key, v, cap.is_some());
         let Some(cap) = cap else {
-            return 0;
+            return;
         };
-        self.fifo.push_back(key);
-        let mut evicted = 0;
-        while self.entries.len() > cap {
-            let Some(old) = self.fifo.pop_front() else {
+        let fifo = &mut self.fifos[key.shard()];
+        while fifo.len() > cap {
+            let Some(old) = fifo.pop_front() else {
                 break;
             };
             self.entries.remove(&old);
-            evicted += 1;
+            self.evictions += 1;
         }
-        evicted
+    }
+
+    /// The resident value of `key`, counting a hit.
+    fn hit(&mut self, key: EvalKey) -> Option<EvalResult> {
+        let v = self.entries.get(&key).copied();
+        if v.is_some() {
+            self.hits += 1;
+        }
+        v
     }
 }
 
-/// One lock stripe. Aligned to 128 bytes (two cache lines, the span the
-/// adjacent-line prefetcher pulls together) so neighbouring shards'
-/// lock and counter words never share a line.
+/// A [`Table`] behind its own lock: one of the cache's key-striped
+/// shards, or one binding's partition. Aligned to 128 bytes (two cache
+/// lines, the span the adjacent-line prefetcher pulls together) so
+/// neighbouring shards' and partitions' lock and counter words never
+/// share a line.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Shard {
-    map: Mutex<ShardMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    map: Mutex<Table>,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.map.lock().expect("evalcache shard poisoned")
+    }
 }
 
 /// The second tier of an [`EvalCache`]: where a miss looks before
@@ -398,11 +446,41 @@ impl Tier {
     }
 }
 
-/// Sharded concurrent memoization cache for PPA evaluations. See the
+/// Partitions per slab. Partitions outlive the sessions that bind them,
+/// so each long-lived allocation pins a hole among the short-lived
+/// ones (and an over-aligned one splits off fragments of its own);
+/// slabs keep a cache with thousands of bindings to dozens of such
+/// allocations, and freeing them leaves the allocator few fragments to
+/// sort.
+const PARTITION_SLAB: usize = 64;
+
+/// The partitions of an [`EvalCache`], one per binding, in slabs.
+#[derive(Debug, Default)]
+struct Partitions {
+    /// Partition id (the binding's key prefix, finished) → partition
+    /// number (creation order).
+    index: HashMap<EvalKey, usize, PassThroughState>,
+    /// Partition `n` is slot `n % PARTITION_SLAB` of slab
+    /// `n / PARTITION_SLAB`. Partitions are never removed, and a slab's
+    /// unused slots are empty tables.
+    slabs: Vec<Arc<[Shard]>>,
+}
+
+/// Partitioned concurrent memoization cache for PPA evaluations. See the
 /// module docs for design and determinism guarantees.
 #[derive(Debug)]
 pub struct EvalCache {
+    /// Entries stored by full key ([`EvalCache::get_or_compute`],
+    /// [`EvalCache::from_trace`], [`EvalCache::load_trace`]).
     shards: Vec<Shard>,
+    /// Entries stored through a binding ([`EvalCache::bind`]).
+    partitions: Mutex<Partitions>,
+    /// Set, never cleared, before the first entry is stored in
+    /// `shards`: until then a partition miss need not look there.
+    sharded: AtomicBool,
+    /// Set, never cleared, when the first partition is created: until
+    /// then a full-key insert need not look in partitions.
+    partitioned: AtomicBool,
     capacity_per_shard: Option<usize>,
     mode: Mode,
     /// Optional second tier, consulted on a miss (see [`Tier`]).
@@ -421,6 +499,9 @@ impl EvalCache {
     pub fn new() -> Self {
         EvalCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            partitions: Mutex::default(),
+            sharded: AtomicBool::new(false),
+            partitioned: AtomicBool::new(false),
             capacity_per_shard: None,
             mode: Mode::Record,
             tier: None,
@@ -507,7 +588,10 @@ impl EvalCache {
         Arc::clone(SHARED.get_or_init(|| Arc::new(EvalCache::new())))
     }
 
-    /// Bounds every shard to `cap` entries with FIFO eviction.
+    /// Bounds every shard to `cap` entries with FIFO eviction. A
+    /// binding's partition applies the same cap to each stripe of its
+    /// keys, so a cache used by one binding evicts exactly what the
+    /// shards would.
     pub fn with_capacity_per_shard(cap: usize) -> Self {
         EvalCache {
             capacity_per_shard: Some(cap.max(1)),
@@ -521,61 +605,163 @@ impl EvalCache {
         self.mode == Mode::Replay
     }
 
+    /// The partition for one binding: every key that extends `prefix`
+    /// (one engine, hardware configuration and loop nest) is looked up
+    /// and stored there. Bindings with the same prefix share a
+    /// partition; the bound costs call this once, at bind time.
+    ///
+    /// Only keys built on `prefix` may be looked up through the
+    /// returned partition: a key then has exactly one partition, which
+    /// is what lets a partition lookup skip every other partition.
+    pub fn bind(&self, prefix: &EvalKeyBuilder) -> CachePartition<'_> {
+        let id = prefix.finish();
+        let mut parts = self
+            .partitions
+            .lock()
+            .expect("evalcache partitions poisoned");
+        let n = match parts.index.get(&id) {
+            Some(&n) => n,
+            None => {
+                let n = parts.index.len();
+                if n.is_multiple_of(PARTITION_SLAB) {
+                    let slab = (0..PARTITION_SLAB).map(|_| Shard::default()).collect();
+                    parts.slabs.push(slab);
+                }
+                parts.index.insert(id, n);
+                // Pairs with the SeqCst `sharded` store and this load in
+                // `lock_for_insert` (see there).
+                self.partitioned.store(true, Ordering::SeqCst);
+                n
+            }
+        };
+        CachePartition {
+            cache: self,
+            slab: Arc::clone(&parts.slabs[n / PARTITION_SLAB]),
+            slot: n % PARTITION_SLAB,
+        }
+    }
+
+    /// Every partition slab, in creation order.
+    fn partition_slabs(&self) -> Vec<Arc<[Shard]>> {
+        self.partitions
+            .lock()
+            .expect("evalcache partitions poisoned")
+            .slabs
+            .clone()
+    }
+
     /// Looks `key` up, computing and memoizing on a miss.
     ///
     /// The compute runs under the shard lock, so each key is evaluated
     /// at most once per cache lifetime and the miss counter equals the
     /// number of distinct keys seen — independent of thread timing. In
     /// replay mode a miss panics: the golden trace does not cover the
-    /// requested evaluation.
+    /// requested evaluation. A key a binding stored is a hit here too.
     pub fn get_or_compute(&self, key: EvalKey, compute: impl FnOnce() -> EvalResult) -> EvalResult {
-        let shard = &self.shards[key.shard()];
-        let mut map = shard.map.lock().expect("evalcache shard poisoned");
-        if let Some(v) = map.entries.get(&key) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            return *v;
+        let (mut map, resident) = self.lock_for_insert(key);
+        if let Some(v) = resident {
+            map.hits += 1;
+            return v;
         }
+        self.assert_record(key);
+        map.misses += 1;
+        let v = self.resolve(key, compute);
+        map.insert(key, v, self.capacity_per_shard);
+        v
+    }
+
+    /// Locks the shard of `key` for a full-key lookup that may insert,
+    /// returning the value `key` already has in this cache, if any.
+    ///
+    /// A key is stored once per cache, so before a new entry may enter
+    /// the shard every partition must be checked. Partition lookups
+    /// take their partition's lock and then, on a miss, a shard's; this
+    /// path therefore locks every partition in creation order *before*
+    /// relocking the shard, so the two orders cannot deadlock. The
+    /// partition locks are released before returning: a binding that
+    /// then misses sees `sharded` set and waits on the shard lock held
+    /// here, finding the entry this lookup stores.
+    ///
+    /// `sharded` is stored before `partitioned` is loaded, and `bind`
+    /// stores `partitioned` before any partition lookup loads `sharded`
+    /// (all `SeqCst`): so either this lookup sees the partitions, or
+    /// every binding's later miss sees `sharded` and checks the shards.
+    fn lock_for_insert(&self, key: EvalKey) -> (MutexGuard<'_, Table>, Option<EvalResult>) {
+        let shard = &self.shards[key.shard()];
+        let map = shard.lock();
+        if let Some(&v) = map.entries.get(&key) {
+            return (map, Some(v));
+        }
+        if !self.sharded.load(Ordering::SeqCst) {
+            self.sharded.store(true, Ordering::SeqCst);
+        }
+        if !self.partitioned.load(Ordering::SeqCst) {
+            return (map, None);
+        }
+        drop(map);
+        let slabs = self.partition_slabs();
+        let parts: Vec<MutexGuard<'_, Table>> = slabs
+            .iter()
+            .flat_map(|s| s.iter())
+            .map(Shard::lock)
+            .collect();
+        let map = shard.lock();
+        let resident = map
+            .entries
+            .get(&key)
+            .or_else(|| parts.iter().find_map(|t| t.entries.get(&key)))
+            .copied();
+        (map, resident)
+    }
+
+    /// Panics on a replay miss.
+    fn assert_record(&self, key: EvalKey) {
         assert!(
             self.mode != Mode::Replay,
             "evalcache replay miss: key {} is not in the golden trace \
              (the run diverged from the recorded one)",
             key.to_hex()
         );
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        let v = match &self.tier {
-            Some(tier) => tier.resolve(key, compute),
-            None => compute(),
-        };
-        let evicted = map.insert(key, v, self.capacity_per_shard);
-        if evicted > 0 {
-            shard.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        v
     }
 
-    /// Peeks without computing or counting a miss (hits still count).
-    pub fn get(&self, key: EvalKey) -> Option<EvalResult> {
-        let shard = &self.shards[key.shard()];
-        let map = shard.map.lock().expect("evalcache shard poisoned");
-        let v = map.entries.get(&key).copied();
-        if v.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+    /// Resolves a miss through the tier, or computes it.
+    fn resolve(&self, key: EvalKey, compute: impl FnOnce() -> EvalResult) -> EvalResult {
+        match &self.tier {
+            Some(tier) => tier.resolve(key, compute),
+            None => compute(),
         }
-        v
+    }
+
+    /// Peeks without computing or counting a miss (hits still count),
+    /// in the shards and then in every partition.
+    pub fn get(&self, key: EvalKey) -> Option<EvalResult> {
+        if let Some(v) = self.shards[key.shard()].lock().hit(key) {
+            return Some(v);
+        }
+        if !self.partitioned.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.partition_slabs()
+            .iter()
+            .flat_map(|s| s.iter())
+            .find_map(|p| p.lock().hit(key))
+    }
+
+    /// Applies `f` to every table, shards first, then partitions.
+    fn for_each_table(&self, mut f: impl FnMut(&Table)) {
+        for shard in &self.shards {
+            f(&shard.lock());
+        }
+        for part in self.partition_slabs().iter().flat_map(|s| s.iter()) {
+            f(&part.lock());
+        }
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.map
-                    .lock()
-                    .expect("evalcache shard poisoned")
-                    .entries
-                    .len()
-            })
-            .sum()
+        let mut n = 0;
+        self.for_each_table(|t| n += t.entries.len());
+        n
     }
 
     /// `true` when no entries are resident.
@@ -583,20 +769,15 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Aggregated counters across all shards.
+    /// Aggregated counters across all shards and partitions.
     pub fn stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
-        for shard in &self.shards {
-            s.hits += shard.hits.load(Ordering::Relaxed);
-            s.misses += shard.misses.load(Ordering::Relaxed);
-            s.evictions += shard.evictions.load(Ordering::Relaxed);
-            s.entries += shard
-                .map
-                .lock()
-                .expect("evalcache shard poisoned")
-                .entries
-                .len() as u64;
-        }
+        self.for_each_table(|t| {
+            s.hits += t.hits;
+            s.misses += t.misses;
+            s.evictions += t.evictions;
+            s.entries += t.entries.len() as u64;
+        });
         s
     }
 
@@ -606,10 +787,7 @@ impl EvalCache {
     /// hex, so the output is byte-for-byte reproducible.
     pub fn to_trace(&self) -> String {
         let mut entries: Vec<(EvalKey, EvalResult)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.map.lock().expect("evalcache shard poisoned");
-            entries.extend(map.entries.iter().map(|(k, v)| (*k, *v)));
-        }
+        self.for_each_table(|t| entries.extend(t.entries.iter().map(|(k, v)| (*k, *v))));
         entries.sort_by_key(|(k, _)| *k);
         let mut out = String::with_capacity(16 + entries.len() * 120);
         out.push_str(TRACE_HEADER);
@@ -633,9 +811,7 @@ impl EvalCache {
         let mut cache = EvalCache::new();
         cache.mode = Mode::Replay;
         for (key, value) in entries {
-            let shard = &cache.shards[key.shard()];
-            let mut map = shard.map.lock().expect("evalcache shard poisoned");
-            map.insert(key, value, cache.capacity_per_shard);
+            cache.preload(key, value);
         }
         Ok(cache)
     }
@@ -667,22 +843,56 @@ impl EvalCache {
     /// capped cache may exceed its capacity until its next fresh insert
     /// trims it. Returns whether the entry was new.
     fn preload(&self, key: EvalKey, v: EvalResult) -> bool {
-        let mut map = self.shards[key.shard()]
-            .map
-            .lock()
-            .expect("evalcache shard poisoned");
-        if map.entries.contains_key(&key) {
+        let (mut map, resident) = self.lock_for_insert(key);
+        if resident.is_some() {
             return false;
         }
-        map.entries.insert(key, v);
-        if self.capacity_per_shard.is_some() {
-            map.fifo.push_back(key);
-        }
+        map.store(key, v, self.capacity_per_shard.is_some());
         drop(map);
         if let Some(tier) = &self.tier {
             tier.preload(key, v);
         }
         true
+    }
+}
+
+/// One binding's view of an [`EvalCache`] (see [`EvalCache::bind`]):
+/// lookups lock only the binding's own partition, a table of this
+/// binding's keys that one mapping search keeps warm. Keys stay full
+/// [`EvalKey`]s, so a key stored here is the key a full-key lookup, a
+/// trace or a tier sees.
+#[derive(Debug, Clone)]
+pub struct CachePartition<'a> {
+    cache: &'a EvalCache,
+    slab: Arc<[Shard]>,
+    slot: usize,
+}
+
+impl CachePartition<'_> {
+    /// [`EvalCache::get_or_compute`] for a key of this binding. The
+    /// compute runs under the partition lock, so each key is still
+    /// evaluated once; a miss first looks in the shards (entries loaded
+    /// from a trace or stored by full key) when any exist, then goes to
+    /// the tier by full key.
+    pub fn get_or_compute(&self, key: EvalKey, compute: impl FnOnce() -> EvalResult) -> EvalResult {
+        let cache = self.cache;
+        let mut table = self.slab[self.slot].lock();
+        if let Some(v) = table.hit(key) {
+            return v;
+        }
+        // See `EvalCache::lock_for_insert` for the pairing.
+        if cache.sharded.load(Ordering::SeqCst) {
+            let resident = cache.shards[key.shard()].lock().entries.get(&key).copied();
+            if let Some(v) = resident {
+                table.hits += 1;
+                return v;
+            }
+        }
+        cache.assert_record(key);
+        table.misses += 1;
+        let v = cache.resolve(key, compute);
+        table.insert(key, v, cache.capacity_per_shard);
+        v
     }
 }
 
@@ -933,7 +1143,7 @@ mod tests {
         let fifo_len = |c: &EvalCache| -> usize {
             c.shards
                 .iter()
-                .map(|s| s.map.lock().expect("shard").fifo.len())
+                .map(|s| s.lock().fifos.iter().map(VecDeque::len).sum::<usize>())
                 .sum()
         };
         let keys: Vec<EvalKey> = (0..40u128).map(|i| key((i << 64) | i)).collect();
@@ -1176,5 +1386,175 @@ mod tests {
             .expect("ok");
         assert!(v.latency_s.is_nan());
         assert_eq!(v.latency_s.to_bits(), f64::NAN.to_bits());
+    }
+
+    /// A binding prefix: any builder works, the partition id is its
+    /// finished key.
+    fn prefix(n: u64) -> EvalKeyBuilder {
+        let mut b = EvalKeyBuilder::new(EngineTag::DataCentric);
+        b.word(n);
+        b
+    }
+
+    /// A key is stored once, and a lookup hits exactly when it is
+    /// stored, whichever path (binding or full key) stored it.
+    #[test]
+    fn bound_and_full_key_lookups_share_one_residency() {
+        let cache = EvalCache::new();
+        let part = cache.bind(&prefix(1));
+        let (a, b) = (key(1 << 64 | 1), key(2 << 64 | 2));
+        assert_eq!(part.get_or_compute(a, || ppa(1.0)), ppa(1.0));
+        assert_eq!(cache.get(a), Some(ppa(1.0)));
+        assert_eq!(cache.get_or_compute(a, || panic!("recompute")), ppa(1.0));
+        assert_eq!(cache.get_or_compute(b, || ppa(2.0)), ppa(2.0));
+        assert_eq!(part.get_or_compute(b, || panic!("recompute")), ppa(2.0));
+        // A second binding with the same prefix shares the partition.
+        let again = cache.bind(&prefix(1));
+        assert_eq!(again.get_or_compute(a, || panic!("recompute")), ppa(1.0));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (4, 2, 2));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.to_trace().starts_with("unico.evaltrace.v1 2\n"));
+    }
+
+    /// One binding over a capped cache evicts exactly what the shards
+    /// do: the `(1, 7, 5, 2)` sequence of the full-key test above.
+    #[test]
+    fn capped_partition_evicts_like_the_shards() {
+        let cache = EvalCache::with_capacity_per_shard(2);
+        let part = cache.bind(&prefix(3));
+        let base = 5u128 << 64; // all on one stripe
+        for i in [0u128, 1, 2, 3, 4, 5, 0, 5] {
+            let _ = part.get_or_compute(key(base | i), || ppa(2.0));
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (1, 7, 5, 2));
+        // Stripes are capped separately, as shards are.
+        let other = key((6u128 << 64) | 9);
+        let _ = part.get_or_compute(other, || ppa(3.0));
+        assert_eq!(cache.stats().entries, 3);
+    }
+
+    #[test]
+    fn replay_binding_resolves_from_the_trace() {
+        let recorded = EvalCache::new();
+        let _ = recorded
+            .bind(&prefix(1))
+            .get_or_compute(key(11), || ppa(0.5));
+        let replay = EvalCache::from_trace(&recorded.to_trace()).expect("parse");
+        let part = replay.bind(&prefix(1));
+        assert_eq!(part.get_or_compute(key(11), || panic!("miss")), ppa(0.5));
+        let s = replay.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 0, 1));
+        assert_eq!(replay.to_trace(), recorded.to_trace());
+    }
+
+    #[test]
+    #[should_panic(expected = "replay miss")]
+    fn replay_binding_miss_panics() {
+        let replay = EvalCache::from_trace("unico.evaltrace.v1 0\n").expect("parse");
+        let _ = replay.bind(&prefix(1)).get_or_compute(key(99), || ppa(1.0));
+    }
+
+    /// A job cache's partition miss goes to the shared cache by full
+    /// key: the shared cache counts and stores exactly what a full-key
+    /// job lookup would have made it.
+    #[test]
+    fn job_partition_miss_resolves_through_the_shared_cache() {
+        let keys: Vec<EvalKey> = (0..6u128).map(|i| key((i << 64) | i)).collect();
+        let calls = AtomicUsize::new(0);
+        let full_shared = Arc::new(EvalCache::new());
+        let full_job = job_over(&full_shared, &keys, &calls);
+        let _ = job_over(&full_shared, &keys, &calls);
+
+        let shared = Arc::new(EvalCache::new());
+        for _ in 0..2 {
+            let job = EvalCache::new().with_backing(Arc::clone(&shared));
+            let part = job.bind(&prefix(7));
+            for k in &keys {
+                let _ = part.get_or_compute(*k, || {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    ppa(1.0)
+                });
+            }
+            assert_eq!(job.stats(), full_job.stats());
+            assert_eq!(job.to_trace(), full_job.to_trace());
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            12,
+            "each shared cache prices a key once"
+        );
+        assert_eq!(shared.stats(), full_shared.stats());
+    }
+
+    /// Loading a trace into a cache whose bindings already hold some of
+    /// its keys stores only the new ones, and counts no lookup.
+    #[test]
+    fn load_trace_skips_keys_a_binding_holds() {
+        let full = EvalCache::new();
+        for i in 0..5u128 {
+            let _ = full.get_or_compute(key((i << 64) | i), || ppa(1.0));
+        }
+        let cache = EvalCache::new();
+        let part = cache.bind(&prefix(2));
+        for i in 0..3u128 {
+            let _ = part.get_or_compute(key((i << 64) | i), || ppa(1.0));
+        }
+        assert_eq!(cache.load_trace(&full.to_trace()), Ok(2));
+        assert_eq!(cache.len(), 5);
+        assert_eq!(cache.to_trace(), full.to_trace());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 3));
+        // The loaded keys are hits through the binding.
+        let _ = part.get_or_compute(key((4u128 << 64) | 4), || panic!("recompute"));
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    /// Two workers bound to one prefix and a full-key caller race over
+    /// the same keys from one barrier: each key is still computed and
+    /// stored once, and every lookup is counted once.
+    #[test]
+    fn concurrent_bound_and_full_key_lookups_compute_each_key_once() {
+        let keys: Vec<EvalKey> = (0..400u128).map(|i| key((i << 64) | (i * 7))).collect();
+        let cache = EvalCache::new();
+        let calls = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(3);
+        let lookup = |k: EvalKey| {
+            move || {
+                std::thread::yield_now();
+                ppa(k.0 as f64)
+            }
+        };
+        std::thread::scope(|s| {
+            for p in 0..2u64 {
+                let (cache, calls, start, keys) = (&cache, &calls, &start, &keys);
+                s.spawn(move || {
+                    let part = cache.bind(&prefix(1));
+                    start.wait();
+                    for k in keys.iter().rev().skip(p as usize) {
+                        let v = part.get_or_compute(*k, || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            lookup(*k)()
+                        });
+                        assert_eq!(v, ppa(k.0 as f64));
+                    }
+                });
+            }
+            start.wait();
+            for k in &keys {
+                let v = cache.get_or_compute(*k, || {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    lookup(*k)()
+                });
+                assert_eq!(v, ppa(k.0 as f64));
+            }
+        });
+        let n = keys.len() as u64;
+        assert_eq!(calls.load(Ordering::Relaxed) as u64, n);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.entries), (n, n));
+        assert_eq!(s.lookups(), 3 * n - 1);
+        assert_eq!(cache.len() as u64, n);
     }
 }

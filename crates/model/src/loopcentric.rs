@@ -28,7 +28,7 @@ use unico_workloads::{Dim, LoopNest};
 use crate::analytical::{outcome_of, MappingObjective};
 use crate::batch::MappingRow;
 use crate::evalcache::{
-    spatial_key_prefix, EngineTag, EvalCache, EvalKey, EvalKeyBuilder, EvalResult,
+    spatial_key_prefix, CachePartition, EngineTag, EvalCache, EvalKey, EvalKeyBuilder, EvalResult,
 };
 use crate::hw::{Dataflow, HwConfig};
 use crate::ppa::{EvalError, Ppa};
@@ -344,14 +344,14 @@ impl LoopCentricModel {
 /// [`MappingCost`] adapter for the loop-centric engine. Like
 /// [`BoundSpatialCost`](crate::BoundSpatialCost), it computes the
 /// cache-key prefix, area and MAC count once at bind time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct BoundLoopCentricCost<'a> {
     model: &'a LoopCentricModel,
     hw: HwConfig,
     nest: LoopNest,
     eval_cost_s: f64,
     objective: MappingObjective,
-    cache: Option<&'a EvalCache>,
+    cache: Option<CachePartition<'a>>,
     key_prefix: EvalKeyBuilder,
     area_mm2: f64,
     macs: f64,
@@ -384,9 +384,10 @@ impl<'a> BoundLoopCentricCost<'a> {
         self
     }
 
-    /// Memoizes evaluations in `cache`.
+    /// Memoizes evaluations in `cache`, in this binding's partition of
+    /// it ([`EvalCache::bind`]).
     pub fn with_cache(mut self, cache: Option<&'a EvalCache>) -> Self {
-        self.cache = cache;
+        self.cache = cache.map(|c| c.bind(&self.key_prefix));
         self
     }
 
@@ -410,7 +411,7 @@ impl<'a> BoundLoopCentricCost<'a> {
 
 impl MappingCost for BoundLoopCentricCost<'_> {
     fn assess(&self, mapping: &Mapping) -> Option<MappingOutcome> {
-        let r = match self.cache {
+        let r = match &self.cache {
             Some(cache) => cache.get_or_compute(self.eval_key(mapping), || self.evaluate(mapping)),
             None => self.evaluate(mapping),
         };

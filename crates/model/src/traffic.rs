@@ -68,10 +68,7 @@ pub fn tensor_loads(
     // Position of the innermost dependent loop with trips > 1.
     let innermost_dep = order
         .iter()
-        .enumerate()
-        .filter(|(_, d)| is_dep(**d) && trips[d.index()] > 1)
-        .map(|(pos, _)| pos)
-        .max();
+        .rposition(|d| is_dep(*d) && trips[d.index()] > 1);
     let mut loads: u64 = 1;
     for (pos, d) in order.iter().enumerate() {
         let t = trips[d.index()];

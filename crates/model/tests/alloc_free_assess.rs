@@ -172,7 +172,7 @@ fn data_centric_assess_is_allocation_free() {
             let cache = EvalCache::new();
             let uncached =
                 BoundSpatialCost::new(&model, hw(), *nest, 1.0).with_objective(objective);
-            let cached = uncached.with_cache(Some(&cache));
+            let cached = uncached.clone().with_cache(Some(&cache));
             let label = format!("data-centric nest {ni} {objective:?}");
             assert_alloc_free(&label, &uncached, &cached, &mappings);
         }
@@ -189,7 +189,7 @@ fn loop_centric_assess_is_allocation_free() {
             let cache = EvalCache::new();
             let uncached =
                 BoundLoopCentricCost::new(&model, hw(), *nest, 1.0).with_objective(objective);
-            let cached = uncached.with_cache(Some(&cache));
+            let cached = uncached.clone().with_cache(Some(&cache));
             let label = format!("loop-centric nest {ni} {objective:?}");
             assert_alloc_free(&label, &uncached, &cached, &mappings);
         }

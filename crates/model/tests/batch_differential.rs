@@ -616,7 +616,7 @@ fn bound_costs_match_reference_keys_and_detailed_evaluation() {
                 let label = format!("nest {ni} config {ci} {objective:?}");
 
                 let cost = BoundSpatialCost::new(&dc, hw, *nest, 1.0).with_objective(objective);
-                let cached = cost.with_cache(Some(&cache));
+                let cached = cost.clone().with_cache(Some(&cache));
                 let r = check_binding(
                     &Binding {
                         uncached: &cost,
@@ -634,7 +634,7 @@ fn bound_costs_match_reference_keys_and_detailed_evaluation() {
                 seen[0] = (seen[0].0 + r.0, seen[0].1 + r.1);
 
                 let cost = BoundLoopCentricCost::new(&lc, hw, *nest, 1.0).with_objective(objective);
-                let cached = cost.with_cache(Some(&cache));
+                let cached = cost.clone().with_cache(Some(&cache));
                 let r = check_binding(
                     &Binding {
                         uncached: &cost,
@@ -655,7 +655,7 @@ fn bound_costs_match_reference_keys_and_detailed_evaluation() {
             // The cycle model has no objective knob: latency only.
             let cache = EvalCache::new();
             let cost = BoundAscendCost::new(&ca, ca_hw, *nest);
-            let cached = cost.with_cache(Some(&cache));
+            let cached = cost.clone().with_cache(Some(&cache));
             let r = check_binding(
                 &Binding {
                     uncached: &cost,

@@ -164,7 +164,13 @@ impl MappingEngine {
 
 impl Drop for MappingEngine {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Store under the queue lock, where workers check the flag
+            // before waiting: otherwise the notify below can land between
+            // a worker's check and its wait, and the join hangs.
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.ready.notify_all();
         for handle in self.handles.drain(..) {
             // Workers contain job panics themselves; a join error would
@@ -302,6 +308,28 @@ mod tests {
         let engine = MappingEngine::new(1);
         assert_eq!(engine.execute(Vec::new()), 0);
         assert_eq!(engine.metrics().batches, 0);
+    }
+
+    /// Create→drop cycles under a watchdog deadline. Drop stores the
+    /// shutdown flag under the queue lock, so a worker that has just
+    /// found the queue empty cannot miss the wake-up and hang the join.
+    #[test]
+    fn create_drop_cycles_never_hang() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for i in 0..500 {
+                let engine = MappingEngine::new(2);
+                if i % 2 == 0 {
+                    engine.execute(vec![Box::new(|| ()) as ScopedJob<'_>]);
+                }
+                drop(engine);
+            }
+            done_tx.send(()).expect("watchdog listening");
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("engine drop hung: a worker missed the shutdown wake-up");
+        cycles.join().expect("cycle thread");
     }
 
     #[test]

@@ -358,7 +358,13 @@ impl Scheduler {
     /// Stops accepting queue pops and joins all workers. Running jobs
     /// are cancelled cooperatively first.
     pub fn shutdown(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        {
+            // Store under the queue lock: a worker checks the flag under
+            // it before waiting, so the notify below cannot fall between
+            // that check and the wait and be lost.
+            let _queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.stopping.store(true, Ordering::SeqCst);
+        }
         for job in self.jobs() {
             job.cancel.store(true, Ordering::SeqCst);
         }
@@ -832,6 +838,28 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// Boot→shutdown cycles under a watchdog deadline, two workers
+    /// alive at a time. Shutdown stores the stop flag under the queue
+    /// lock, so a worker that has just found the queue empty cannot miss
+    /// the wake-up and hang the join.
+    #[test]
+    fn boot_shutdown_cycles_never_hang() {
+        let dir = scratch("boot-shutdown-cycles");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..500 {
+                let sched =
+                    Scheduler::start(&cfg(dir.clone()), Arc::new(EvalCache::new())).expect("boot");
+                sched.shutdown();
+            }
+            done_tx.send(()).expect("watchdog listening");
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("scheduler shutdown hung: a worker missed the stop wake-up");
+        cycles.join().expect("cycle thread");
+    }
+
     #[test]
     fn admission_bound_rejects_with_queue_full() {
         let dir = scratch("admission");
@@ -968,6 +996,47 @@ mod tests {
             "error must name the checkpoint: {err}"
         );
         assert_eq!(sched.counters.failed.load(Ordering::Relaxed), 1);
+        sched.shutdown();
+    }
+
+    /// Writes a manifest in `state` for a job whose inline graph the
+    /// frontend rejects (only `parse_submission` imports a graph, so
+    /// recovery takes the manifest's spec as it is).
+    fn malformed_graph_manifest(dir: &std::path::Path, id: &str, state: JobState) {
+        let spec = JobSpec {
+            workloads: Vec::new(),
+            graph: Some(r#"{"name": 3}"#.to_string()),
+            ..tiny_spec(7)
+        };
+        let job = Job::new(id.to_string(), spec);
+        assert!(job.set_state(state));
+        job::write_manifest(&JobPaths::new(dir, id), &job).expect("manifest");
+    }
+
+    /// A requeued job whose inline graph is malformed fails when its
+    /// worker imports the graph, and the error names the field.
+    #[test]
+    fn malformed_inline_graph_of_a_running_job_fails_it() {
+        let dir = scratch("malformed-graph-running");
+        malformed_graph_manifest(&dir, "job-000002", JobState::Running);
+        let sched = Scheduler::start(&cfg(dir), Arc::new(EvalCache::new())).expect("boot");
+        let recovered = sched.get("job-000002").expect("job recovered");
+        assert_eq!(wait_terminal(&recovered), JobState::Failed);
+        let err = recovered.error().expect("failure message");
+        assert!(err.contains("graph"), "error must name the graph: {err}");
+        sched.shutdown();
+    }
+
+    /// A completed job's graph is never imported again: it recovers as
+    /// completed whatever its inline graph holds.
+    #[test]
+    fn malformed_inline_graph_of_a_completed_job_still_recovers() {
+        let dir = scratch("malformed-graph-completed");
+        malformed_graph_manifest(&dir, "job-000003", JobState::Completed);
+        let sched = Scheduler::start(&cfg(dir), Arc::new(EvalCache::new())).expect("boot");
+        let recovered = sched.get("job-000003").expect("job recovered");
+        assert_eq!(recovered.state(), JobState::Completed);
+        assert_eq!(recovered.error(), None);
         sched.shutdown();
     }
 

@@ -106,7 +106,9 @@ impl JobSpec {
     /// # Errors
     ///
     /// A message naming the offending field: unknown platform or
-    /// workload, zero budgets, or wrong JSON types.
+    /// workload, zero budgets, or wrong JSON types. An inline `graph` is
+    /// only checked to be a string here; [`parse_submission`] imports
+    /// it, so decoding a persisted or forwarded spec does not.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         v.as_obj("job spec")?;
         let platform = PlatformKind::from_name(
@@ -126,11 +128,6 @@ impl JobSpec {
             .get("graph")
             .map(|j| j.as_str("graph").map(str::to_string))
             .transpose()?;
-        if let Some(text) = &graph {
-            // Import eagerly so a malformed graph is a 422 at submit
-            // time, not a worker panic later.
-            unico_workloads::frontend::import_json(text).map_err(|e| format!("graph: {e}"))?;
-        }
         let graph_file = v
             .get("graph_file")
             .map(|j| j.as_str("graph_file").map(str::to_string))
@@ -469,12 +466,20 @@ pub fn parse_positive(name: &str, raw: Option<&str>) -> Result<Option<usize>, St
 ///
 /// # Errors
 ///
-/// Syntax errors from the JSON layer or validation errors from
-/// [`JobSpec::from_json`], both suitable for a 400/422 response body.
+/// Syntax errors from the JSON layer, validation errors from
+/// [`JobSpec::from_json`], or an inline graph the frontend rejects, all
+/// suitable for a 400/422 response body.
 pub fn parse_submission(body: &[u8]) -> Result<JobSpec, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
     let v = json::parse(text)?;
-    JobSpec::from_json(&v)
+    let spec = JobSpec::from_json(&v)?;
+    if let Some(graph) = &spec.graph {
+        // Import once, here, so a malformed graph is a 422 at submit
+        // time; manifests and cluster-wire specs carry a graph that was
+        // already validated and are not re-imported when decoded.
+        unico_workloads::frontend::import_json(graph).map_err(|e| format!("graph: {e}"))?;
+    }
+    Ok(spec)
 }
 
 #[cfg(test)]
