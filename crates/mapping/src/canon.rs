@@ -185,7 +185,15 @@ impl CanonicalMapping {
                 while j < len && sortable(buf[j]) {
                     j += 1;
                 }
-                buf[i..j].sort_by_key(|d| d.index());
+                // Runs hold at most three dims (C, R, S), so an in-place
+                // insertion sort beats a call into the general sort.
+                for k in i + 1..j {
+                    let mut m = k;
+                    while m > i && buf[m - 1].index() > buf[m].index() {
+                        buf.swap(m - 1, m);
+                        m -= 1;
+                    }
+                }
                 i = j;
             } else {
                 i += 1;

@@ -192,15 +192,11 @@ impl SearchHistory {
         if self.records.is_empty() {
             return None;
         }
-        let mut sorted: Vec<usize> = (0..self.records.len()).collect();
-        sorted.sort_by(|&a, &b| {
-            self.records[a]
-                .loss
-                .partial_cmp(&self.records[b].loss)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // `(loss, index)` pairs keep the comparator off `records`.
+        let mut sorted: Vec<(f64, usize)> = self.records.iter().map(|r| r.loss).zip(0..).collect();
+        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let last = (sorted.len() - 1) as f64;
-        Some(qs.map(|q| self.records[sorted[(q.clamp(0.0, 1.0) * last).round() as usize]]))
+        Some(qs.map(|q| self.records[sorted[(q.clamp(0.0, 1.0) * last).round() as usize].1]))
     }
 
     /// Merges another history into this one, preserving step accounting

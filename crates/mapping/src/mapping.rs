@@ -59,11 +59,9 @@ impl Mapping {
         spatial: (Dim, Dim),
     ) -> Self {
         assert!(spatial.0 != spatial.1, "spatial dims must differ");
-        let mut seen = [false; DIM_COUNT];
-        for d in order {
-            assert!(!seen[d.index()], "order must be a permutation");
-            seen[d.index()] = true;
-        }
+        // Seven dims covering all seven bits: a permutation.
+        let seen = order.iter().fold(0u8, |m, d| m | 1 << d.index());
+        assert!(seen == 0x7f, "order must be a permutation");
         let ext = nest.extents();
         for i in 0..DIM_COUNT {
             l2_tile[i] = l2_tile[i].clamp(1, ext[i]);

@@ -6,6 +6,8 @@
 //! promoted arm simply gets `run_until` called again with a larger budget
 //! and continues from its internal state.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -155,8 +157,6 @@ pub struct AnnealingSearch {
     history: SearchHistory,
     incumbent: Incumbent,
     current: Option<(Mapping, f64)>,
-    initial_temp: f64,
-    cooling: f64,
     since_improvement: u32,
     restart_after: u32,
     warmup: u64,
@@ -176,18 +176,44 @@ impl AnnealingSearch {
             history: SearchHistory::new(),
             incumbent: Incumbent::default(),
             current: None,
-            initial_temp: 0.3,
-            cooling: 0.97,
             since_improvement: 0,
             restart_after: 40,
             warmup: 16,
             infeasible: None,
         }
     }
+}
 
-    fn temperature(&self) -> f64 {
-        self.initial_temp * self.cooling.powi(self.history.spent() as i32)
-    }
+/// Annealing start temperature `T0`.
+const INITIAL_TEMP: f64 = 0.3;
+/// Geometric cooling factor per spent step.
+const COOLING: f64 = 0.97;
+/// Lowest temperature the acceptance test divides by.
+const TEMP_FLOOR: f64 = 1e-9;
+/// First step whose `T0 · 0.97ⁿ` (through `powi`) is below the floor;
+/// every later step is below it too.
+const COOLED_AFTER: usize = 641;
+
+/// The annealing temperature after `spent` steps,
+/// `(T0 · 0.97^spent).max(1e-9)`, read from a process-wide table.
+///
+/// The table is filled once at run time through `powi` with a base the
+/// compiler cannot see (`black_box`), so every entry is the bits of the
+/// per-step `powi` call it replaces (a compile-time fold of `powi` need
+/// not round like the run-time routine). Past the table the temperature
+/// is the floor (also past 2³¹ steps, where the per-step `spent as i32`
+/// cast wrapped).
+fn annealing_temperature(spent: u64) -> f64 {
+    static TABLE: OnceLock<[f64; COOLED_AFTER]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let cooling = std::hint::black_box(COOLING);
+        std::array::from_fn(|n| (INITIAL_TEMP * cooling.powi(n as i32)).max(TEMP_FLOOR))
+    });
+    usize::try_from(spent)
+        .ok()
+        .and_then(|n| table.get(n))
+        .copied()
+        .unwrap_or(TEMP_FLOOR)
 }
 
 impl MappingSearcher for AnnealingSearch {
@@ -214,7 +240,7 @@ impl MappingSearcher for AnnealingSearch {
                             } else {
                                 // Relative worsening tempered by T.
                                 let rel = (o.loss - cur_loss) / cur_loss.max(1e-12);
-                                let t = self.temperature().max(1e-9);
+                                let t = annealing_temperature(self.history.spent());
                                 self.rng.gen_bool((-rel / t).exp().clamp(0.0, 1.0))
                             }
                         }
@@ -433,6 +459,30 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use unico_workloads::{Dim, TensorOp};
+
+    /// The per-step expression the table replaced, evaluated at run time.
+    fn powi_temperature(spent: u64) -> f64 {
+        let cooling = std::hint::black_box(0.97f64);
+        (0.3 * cooling.powi(std::hint::black_box(spent) as i32)).max(1e-9)
+    }
+
+    #[test]
+    fn temperature_table_has_the_bits_of_powi() {
+        for spent in 0..(COOLED_AFTER as u64 * 4) {
+            assert_eq!(
+                annealing_temperature(spent).to_bits(),
+                powi_temperature(spent).to_bits(),
+                "step {spent}"
+            );
+        }
+        for spent in [10_000, 1 << 20, i32::MAX as u64] {
+            assert_eq!(annealing_temperature(spent), TEMP_FLOOR);
+            assert_eq!(powi_temperature(spent), TEMP_FLOOR);
+        }
+        // The table ends exactly where `powi` crosses the floor.
+        assert!(powi_temperature(COOLED_AFTER as u64 - 1) > TEMP_FLOOR);
+        assert!(0.3 * std::hint::black_box(0.97f64).powi(COOLED_AFTER as i32) < TEMP_FLOOR);
+    }
 
     /// Cost with clear structure: prefer large L1 K-tiles and penalize
     /// tile K > 32 as infeasible.

@@ -22,22 +22,35 @@ pub struct MappingSpace {
     spatial_candidates: Vec<Dim>,
 }
 
-/// Generates the ascending list of candidate tile sizes for an extent:
-/// all `2^a * 3^b ≤ extent` plus `extent` itself.
-fn smooth_sizes(extent: u64) -> Vec<u64> {
-    let mut v = Vec::new();
+/// Calls `f` with every `2^a * 3^b ≤ extent` (each value once).
+fn for_each_smooth(extent: u64, mut f: impl FnMut(u64)) {
     let mut p2 = 1u64;
     while p2 <= extent {
         let mut val = p2;
         while val <= extent {
-            v.push(val);
+            f(val);
             val *= 3;
         }
         p2 *= 2;
     }
-    v.push(extent);
+}
+
+/// Generates the ascending list of candidate tile sizes for an extent:
+/// all `2^a * 3^b ≤ extent` plus `extent` itself. A counting pass sizes
+/// the list exactly, so it is one allocation and never grows.
+fn smooth_sizes(extent: u64) -> Vec<u64> {
+    let mut count = 0;
+    let mut extent_is_smooth = false;
+    for_each_smooth(extent, |val| {
+        count += 1;
+        extent_is_smooth |= val == extent;
+    });
+    let mut v = Vec::with_capacity(count + usize::from(!extent_is_smooth));
+    for_each_smooth(extent, |val| v.push(val));
+    if !extent_is_smooth {
+        v.push(extent);
+    }
     v.sort_unstable();
-    v.dedup();
     v
 }
 
@@ -405,6 +418,34 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use unico_workloads::TensorOp;
+
+    /// The push/sort/dedup routine `smooth_sizes` replaced.
+    fn pushed_smooth_sizes(extent: u64) -> Vec<u64> {
+        let mut v = Vec::new();
+        let mut p2 = 1u64;
+        while p2 <= extent {
+            let mut val = p2;
+            while val <= extent {
+                v.push(val);
+                val *= 3;
+            }
+            p2 *= 2;
+        }
+        v.push(extent);
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    #[test]
+    fn smooth_sizes_are_exactly_sized_and_unchanged() {
+        let extents = (0..=4096).chain([6561, 100_003, 1 << 40, 3u64.pow(30), u64::MAX / 4]);
+        for extent in extents {
+            let v = smooth_sizes(extent);
+            assert_eq!(v, pushed_smooth_sizes(extent), "extent {extent}");
+            assert_eq!(v.capacity(), v.len(), "extent {extent}");
+        }
+    }
 
     fn space() -> MappingSpace {
         let nest = TensorOp::Conv2d {

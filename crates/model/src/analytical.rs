@@ -11,7 +11,7 @@ use crate::evalcache::{
 use crate::hw::{Dataflow, HwConfig};
 use crate::ppa::{EvalError, Ppa};
 use crate::tech::TechParams;
-use crate::traffic::{tensor_loads, tensor_min_loads, TensorKind};
+use crate::traffic::{level_loads, TensorKind};
 
 /// Diagnostic breakdown of one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -322,21 +322,22 @@ impl AnalyticalModel {
             * serial as f64;
 
         // --- Reuse structure (integer-exact), then the shared core. ---
-        let l1_trips = row.l1_trips();
-        let l2_trips = row.l2_trips();
         let order = row.order();
+        let l1_loads = level_loads(nest, row.l1_trips(), order);
+        let l2_loads = level_loads(nest, row.l2_trips(), order);
         let stationary = match hw.dataflow() {
             Dataflow::WeightStationary => TensorKind::Weight,
             Dataflow::OutputStationary => TensorKind::Output,
         };
         let noc = std::array::from_fn(|j| {
             let tensor = TensorKind::ALL[j];
+            let (loads, min_loads) = l1_loads[j];
+            // The stationary tensor is fetched once per distinct tile.
             let loads = if tensor == stationary {
-                tensor_min_loads(tensor, nest, l1_trips)
+                min_loads
             } else {
-                tensor_loads(tensor, nest, l1_trips, order)
-            } as f64;
-            let min_loads = tensor_min_loads(tensor, nest, l1_trips) as f64;
+                loads
+            };
             let fp = match tensor {
                 TensorKind::Input => fp1.input,
                 TensorKind::Weight => fp1.weight,
@@ -344,20 +345,20 @@ impl AnalyticalModel {
             } as f64;
             TensorTraffic {
                 fp,
-                loads,
-                min_loads,
+                loads: loads as f64,
+                min_loads: min_loads as f64,
             }
         });
         let dram = std::array::from_fn(|j| {
-            let tensor = TensorKind::ALL[j];
+            let (loads, min_loads) = l2_loads[j];
             TensorTraffic {
-                fp: match tensor {
+                fp: match TensorKind::ALL[j] {
                     TensorKind::Input => fp2.input,
                     TensorKind::Weight => fp2.weight,
                     TensorKind::Output => fp2.output,
                 } as f64,
-                loads: tensor_loads(tensor, nest, l2_trips, order) as f64,
-                min_loads: tensor_min_loads(tensor, nest, l2_trips) as f64,
+                loads: loads as f64,
+                min_loads: min_loads as f64,
             }
         });
         let core = cost_core(

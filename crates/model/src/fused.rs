@@ -26,7 +26,7 @@ use crate::batch::MappingRow;
 use crate::evalcache::{spatial_key_prefix, EngineTag, EvalKey};
 use crate::hw::HwConfig;
 use crate::ppa::{EvalError, Ppa};
-use crate::traffic::{tensor_loads, tensor_min_loads, TensorKind};
+use crate::traffic::{level_loads, TensorKind};
 
 /// One layer of a candidate fusion chain, with the mapping to price it
 /// under (normally the best mapping its own search found).
@@ -142,27 +142,23 @@ impl AnalyticalModel {
         // Rebuild the DRAM byte count with the same fold `cost_core`
         // uses (Input, Weight, Output; output pays read-modify-write
         // revisits), dropping the fused tensors' terms.
-        let l2_trips = row.l2_trips();
-        let order = row.order();
-        let term = |tensor: TensorKind| {
+        let l2_loads = level_loads(nest, row.l2_trips(), row.order());
+        let term = |tensor: TensorKind, (loads, min_loads): (u64, u64)| {
             let fp = match tensor {
                 TensorKind::Input => fp2.input,
                 TensorKind::Weight => fp2.weight,
                 TensorKind::Output => fp2.output,
             } as f64;
-            let loads = tensor_loads(tensor, nest, l2_trips, order) as f64;
+            let loads = loads as f64;
             match tensor {
-                TensorKind::Output => {
-                    let min_loads = tensor_min_loads(tensor, nest, l2_trips) as f64;
-                    fp * (2.0 * loads - min_loads)
-                }
+                TensorKind::Output => fp * (2.0 * loads - min_loads as f64),
                 _ => fp * loads,
             }
         };
         let mut dram_unfused = 0.0;
         let mut dram_fused = 0.0;
-        for tensor in TensorKind::ALL {
-            let b = term(tensor);
+        for (tensor, level) in TensorKind::ALL.into_iter().zip(l2_loads) {
+            let b = term(tensor, level);
             dram_unfused += b;
             let skipped = (tensor == TensorKind::Input && skip_input)
                 || (tensor == TensorKind::Output && skip_output);

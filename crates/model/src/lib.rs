@@ -72,4 +72,4 @@ pub use platform::{MappingTool, Platform, PpaEngine, SpatialPlatform};
 pub use ppa::{EvalError, Ppa};
 pub use relaxed::{relaxed_eval, relaxed_eval_with, RelaxedDiag, Rounding};
 pub use tech::TechParams;
-pub use traffic::{tensor_loads, TensorKind};
+pub use traffic::{level_loads, tensor_loads, tensor_min_loads, TensorKind};

@@ -33,7 +33,7 @@ use crate::evalcache::{
 use crate::hw::{Dataflow, HwConfig};
 use crate::ppa::{EvalError, Ppa};
 use crate::tech::TechParams;
-use crate::traffic::{tensor_loads, tensor_min_loads, TensorKind};
+use crate::traffic::{level_loads, TensorKind};
 
 /// Per-level traffic and occupancy of one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,8 +174,8 @@ impl LoopCentricModel {
 
         // ---- Per-level traffic from the shared reuse analysis. ----
         let order = row.order();
-        let l2_trips = row.l2_trips();
-        let l1_trips = row.l1_trips();
+        let l2_loads = level_loads(nest, row.l2_trips(), order);
+        let l1_loads = level_loads(nest, row.l1_trips(), order);
         let t2 = row.num_l2_tiles() as f64;
         let t1 = row.num_l1_tiles_per_l2() as f64;
         let stationary = match hw.dataflow() {
@@ -192,9 +192,8 @@ impl LoopCentricModel {
         // DRAM level: reads feed L2, write-backs come from L2.
         let mut dram_read = 0.0;
         let mut dram_write = 0.0;
-        for tensor in TensorKind::ALL {
-            let loads = tensor_loads(tensor, nest, l2_trips, order) as f64;
-            let min = tensor_min_loads(tensor, nest, l2_trips) as f64;
+        for (tensor, (loads, min)) in TensorKind::ALL.into_iter().zip(l2_loads) {
+            let (loads, min) = (loads as f64, min as f64);
             let fp = tensor_fp(fp2, tensor);
             if tensor == TensorKind::Output {
                 dram_write += fp * loads;
@@ -208,13 +207,9 @@ impl LoopCentricModel {
         // L1 write-backs.
         let mut l2_read = 0.0;
         let mut l2_write = dram_read; // fills
-        for tensor in TensorKind::ALL {
-            let loads = if tensor == stationary {
-                tensor_min_loads(tensor, nest, l1_trips)
-            } else {
-                tensor_loads(tensor, nest, l1_trips, order)
-            } as f64;
-            let min = tensor_min_loads(tensor, nest, l1_trips) as f64;
+        for (tensor, (loads, min)) in TensorKind::ALL.into_iter().zip(l1_loads) {
+            let loads = if tensor == stationary { min } else { loads } as f64;
+            let min = min as f64;
             let fp = tensor_fp(fp1, tensor);
             if tensor == TensorKind::Output {
                 l2_write += fp * loads * t2; // write-backs per L2 tile

@@ -19,9 +19,13 @@ impl TensorKind {
 
     /// The loop dimensions this tensor's tile depends on.
     pub fn dependent_dims(self, nest: &LoopNest) -> &'static [Dim] {
+        self.dims_for(nest.is_depthwise())
+    }
+
+    const fn dims_for(self, depthwise: bool) -> &'static [Dim] {
         match self {
             TensorKind::Input => {
-                if nest.is_depthwise() {
+                if depthwise {
                     // Channels ride on K for depthwise nests.
                     &[Dim::N, Dim::K, Dim::Y, Dim::X, Dim::R, Dim::S]
                 } else {
@@ -33,67 +37,96 @@ impl TensorKind {
         }
     }
 
-    /// [`TensorKind::dependent_dims`] as a bitmask over `Dim::index()`
-    /// — the dependence test runs ~12 times per evaluated candidate, and
-    /// a bit probe replaces a linear scan of the dim slice. Purely a
-    /// representation change: the load-counting arithmetic is untouched,
-    /// so every count stays bit-identical.
+    /// [`TensorKind::dependent_dims`] as a bitmask over `Dim::index()`,
+    /// read from a table built at compile time: the masks depend only on
+    /// whether the nest is depthwise.
     pub fn dependent_mask(self, nest: &LoopNest) -> u8 {
-        self.dependent_dims(nest)
-            .iter()
-            .fold(0u8, |m, d| m | 1 << d.index())
+        DEPENDENCE_MASKS[usize::from(nest.is_depthwise())][self as usize]
     }
 }
 
-/// How many times the tensor's tile is fetched into the inner memory
-/// level, given per-dimension trip counts and the temporal loop `order`
-/// (outermost first).
+/// Dependence masks in [`TensorKind::ALL`] order, dense nests first,
+/// then depthwise (`Dim as u8` is `Dim::index()`).
+const DEPENDENCE_MASKS: [[u8; 3]; 2] = [dependence_masks(false), dependence_masks(true)];
+
+const fn dependence_masks(depthwise: bool) -> [u8; 3] {
+    let mut masks = [0u8; 3];
+    let mut t = 0;
+    while t < 3 {
+        let dims = TensorKind::ALL[t].dims_for(depthwise);
+        let mut i = 0;
+        while i < dims.len() {
+            masks[t] |= 1 << dims[i] as u8;
+            i += 1;
+        }
+        t += 1;
+    }
+    masks
+}
+
+/// Fetch counts of all three tensors into one memory level, as
+/// `(loads, min_loads)` pairs in [`TensorKind::ALL`] order, given
+/// per-dimension trip counts and the temporal loop `order` (outermost
+/// first).
 ///
-/// The classic loop-centric rule: the tile is re-fetched once per
+/// The classic loop-centric rule: a tensor's tile is re-fetched once per
 /// iteration of every loop the tensor depends on, **and** once per
 /// iteration of every independent loop positioned *outside* the
 /// tensor's innermost dependent loop (those wrap a dependent loop, so
 /// the same tiles are swept repeatedly). Independent loops nested inside
-/// all dependent loops permit full reuse.
+/// all dependent loops permit full reuse. `min_loads` is the number of
+/// distinct tiles: the product of the dependent trip counts.
 ///
-/// Trip counts of 1 never contribute.
+/// So a tensor's `loads` is the product of every trip count up to and
+/// including its innermost dependent loop with trips > 1 (unit loops
+/// multiply by 1), and one running product over `order` serves all
+/// three tensors: each takes the running value at each of its dependent
+/// non-unit loops, and the last one taken is the innermost. Products
+/// saturate at `u64::MAX`; since every factor is ≥ 1 that is
+/// `min(true product, u64::MAX)` whatever the order of the factors.
+///
+/// Trip counts of 0 and 1 never contribute.
+pub fn level_loads(
+    nest: &LoopNest,
+    trips: &[u64; DIM_COUNT],
+    order: &[Dim; DIM_COUNT],
+) -> [(u64, u64); 3] {
+    let masks = DEPENDENCE_MASKS[usize::from(nest.is_depthwise())];
+    let mut running: u64 = 1;
+    let mut out = [(1u64, 1u64); 3];
+    for d in order {
+        let t = trips[d.index()];
+        if t <= 1 {
+            continue;
+        }
+        running = running.saturating_mul(t);
+        let bit = 1u8 << d.index();
+        for (mask, (loads, min_loads)) in masks.iter().zip(&mut out) {
+            if mask & bit != 0 {
+                *loads = running;
+                *min_loads = min_loads.saturating_mul(t);
+            }
+        }
+    }
+    out
+}
+
+/// How many times the tensor's tile is fetched into the inner memory
+/// level: the `loads` half of [`level_loads`] for one tensor.
 pub fn tensor_loads(
     tensor: TensorKind,
     nest: &LoopNest,
     trips: &[u64; DIM_COUNT],
     order: &[Dim; DIM_COUNT],
 ) -> u64 {
-    let mask = tensor.dependent_mask(nest);
-    let is_dep = |d: Dim| mask & (1 << d.index()) != 0;
-    // Position of the innermost dependent loop with trips > 1.
-    let innermost_dep = order
-        .iter()
-        .rposition(|d| is_dep(*d) && trips[d.index()] > 1);
-    let mut loads: u64 = 1;
-    for (pos, d) in order.iter().enumerate() {
-        let t = trips[d.index()];
-        if t <= 1 {
-            continue;
-        }
-        if is_dep(*d) {
-            loads = loads.saturating_mul(t);
-        } else if let Some(inner) = innermost_dep {
-            if pos < inner {
-                loads = loads.saturating_mul(t);
-            }
-        }
-    }
-    loads
+    level_loads(nest, trips, order)[tensor as usize].0
 }
 
 /// Minimal possible number of fetches of a tensor: the number of its
-/// distinct tiles (product of dependent trip counts).
+/// distinct tiles (product of dependent trip counts), the `min_loads`
+/// half of [`level_loads`]. It does not depend on the loop order.
 pub fn tensor_min_loads(tensor: TensorKind, nest: &LoopNest, trips: &[u64; DIM_COUNT]) -> u64 {
-    tensor
-        .dependent_dims(nest)
-        .iter()
-        .map(|d| trips[d.index()].max(1))
-        .product()
+    level_loads(nest, trips, &Dim::ALL)[tensor as usize].1
 }
 
 #[cfg(test)]
@@ -113,6 +146,21 @@ mod tests {
             stride: 1,
         }
         .to_loop_nest()
+    }
+
+    #[test]
+    fn mask_table_matches_the_dependent_dims() {
+        let dense = conv_nest();
+        let depthwise = dense.into_depthwise();
+        for nest in [dense, depthwise] {
+            for t in TensorKind::ALL {
+                let folded = t
+                    .dependent_dims(&nest)
+                    .iter()
+                    .fold(0u8, |m, d| m | 1 << d.index());
+                assert_eq!(t.dependent_mask(&nest), folded, "{t:?}");
+            }
+        }
     }
 
     #[test]

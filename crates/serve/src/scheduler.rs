@@ -281,9 +281,10 @@ impl Scheduler {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::QueueFull { depth });
         }
-        // Resolve and import any referenced graph now: a missing or
+        // Resolve and import any referenced graph file now: a missing or
         // malformed model file is a 422 at submit, not a worker panic.
-        if let Err(e) = crate::spec::load_graphs(&spec, &self.state_dir) {
+        // An inline graph was imported once by `parse_submission`.
+        if let Err(e) = crate::spec::load_graph_file(&spec, &self.state_dir) {
             return Err(SubmitError::InvalidGraph(e));
         }
         let id = format!("job-{:06}", self.next_id.fetch_add(1, Ordering::SeqCst));
@@ -1011,6 +1012,29 @@ mod tests {
         let job = Job::new(id.to_string(), spec);
         assert!(job.set_state(state));
         job::write_manifest(&JobPaths::new(dir, id), &job).expect("manifest");
+    }
+
+    /// Submission resolves only `graph_file`: the inline graph was
+    /// imported by `parse_submission`, so a spec carrying a malformed
+    /// inline graph *and* a missing file is refused for the file.
+    #[test]
+    fn submit_resolves_only_the_graph_file() {
+        let dir = scratch("submit-graph-file-only");
+        let sched = Scheduler::start(&cfg(dir), Arc::new(EvalCache::new())).expect("boot");
+        let spec = JobSpec {
+            workloads: Vec::new(),
+            graph: Some(r#"{"name": 3}"#.to_string()),
+            graph_file: Some("absent.graph.json".to_string()),
+            ..tiny_spec(8)
+        };
+        match sched.submit(spec) {
+            Err(SubmitError::InvalidGraph(e)) => {
+                assert!(e.starts_with("graph_file: reading"), "{e}");
+            }
+            other => panic!("expected a graph_file error, got {other:?}"),
+        }
+        assert_eq!(sched.queue_depth(), 0);
+        sched.shutdown();
     }
 
     /// A requeued job whose inline graph is malformed fails when its

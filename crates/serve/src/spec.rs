@@ -310,37 +310,55 @@ impl JobSpec {
 }
 
 /// Loads the spec's imported graphs: the inline `graph` JSON and/or
-/// the `graph_file` resolved against `state_dir` (`.json` parses as a
-/// JSON graph, anything else as ONNX-subset wire bytes).
+/// the `graph_file` resolved against `state_dir` (see
+/// [`load_graph_file`]).
 ///
 /// # Errors
 ///
 /// A message naming the offending field — unreadable file, non-UTF-8
-/// JSON, or a frontend import error — suitable for a 422 at submit
-/// time and a loud job failure at execute time.
+/// JSON, or a frontend import error — suitable for a loud job failure
+/// at execute time.
 pub fn load_graphs(
     spec: &JobSpec,
     state_dir: &std::path::Path,
 ) -> Result<Vec<unico_workloads::ImportedGraph>, String> {
-    use unico_workloads::frontend;
     let mut graphs = Vec::new();
     if let Some(text) = &spec.graph {
-        graphs.push(frontend::import_json(text).map_err(|e| format!("graph: {e}"))?);
+        graphs
+            .push(unico_workloads::frontend::import_json(text).map_err(|e| format!("graph: {e}"))?);
     }
-    if let Some(rel) = &spec.graph_file {
-        let path = state_dir.join(rel);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| format!("graph_file: reading {}: {e}", path.display()))?;
-        let imported = if rel.ends_with(".json") {
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| format!("graph_file: {} is not utf-8", path.display()))?;
-            frontend::import_json(text)
-        } else {
-            frontend::import_onnx(&bytes)
-        };
-        graphs.push(imported.map_err(|e| format!("graph_file: {e}"))?);
-    }
+    graphs.extend(load_graph_file(spec, state_dir)?);
     Ok(graphs)
+}
+
+/// Imports the spec's `graph_file`, if any, resolved against
+/// `state_dir` (`.json` parses as a JSON graph, anything else as
+/// ONNX-subset wire bytes). Submission resolves only this half: an
+/// inline `graph` was already imported by [`parse_submission`].
+///
+/// # Errors
+///
+/// A message naming `graph_file` — unreadable file, non-UTF-8 JSON, or
+/// a frontend import error — suitable for a 422 at submit time.
+pub fn load_graph_file(
+    spec: &JobSpec,
+    state_dir: &std::path::Path,
+) -> Result<Option<unico_workloads::ImportedGraph>, String> {
+    use unico_workloads::frontend;
+    let Some(rel) = &spec.graph_file else {
+        return Ok(None);
+    };
+    let path = state_dir.join(rel);
+    let bytes =
+        std::fs::read(&path).map_err(|e| format!("graph_file: reading {}: {e}", path.display()))?;
+    let imported = if rel.ends_with(".json") {
+        let text = std::str::from_utf8(&bytes)
+            .map_err(|_| format!("graph_file: {} is not utf-8", path.display()))?;
+        frontend::import_json(text)
+    } else {
+        frontend::import_onnx(&bytes)
+    };
+    imported.map(Some).map_err(|e| format!("graph_file: {e}"))
 }
 
 /// Daemon configuration, from `UNICO_SERVE_*` environment variables.
