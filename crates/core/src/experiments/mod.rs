@@ -23,7 +23,7 @@ pub mod stats;
 pub mod table;
 
 use unico_model::{Platform, SpatialPlatform};
-use unico_search::{evaluate_batch, Assessment, CoSearchEnv, EnvConfig};
+use unico_search::{evaluate_batch, Assessment, CoSearchEnv, EnvConfig, MappingEngine};
 use unico_workloads::Network;
 
 /// Experiment sizing: the same drivers run at `smoke` scale in tests and
@@ -126,7 +126,8 @@ where
             area_cap_mm2: None,
         },
     );
-    let (mut results, _, _) = evaluate_batch(&env, vec![hw], budget, seed);
+    let engine = MappingEngine::new(1);
+    let (mut results, _, _) = evaluate_batch(&env, &engine, vec![hw], budget, seed);
     results.pop().and_then(|(_, a)| a)
 }
 

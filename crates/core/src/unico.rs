@@ -733,16 +733,9 @@ impl Unico {
                 b_max: cfg.b_max,
                 auc_fraction: cfg.auc_fraction,
                 min_budget: 8,
-                workers: cfg.workers as usize,
             };
             telemetry.time("mapping_search", || {
-                sh::run_with_engine_faulted(
-                    &mut sessions,
-                    &sh_cfg,
-                    &engine,
-                    &telemetry,
-                    opts.faults,
-                )
+                sh::run(&mut sessions, &sh_cfg, &engine, &telemetry, opts.faults)
             });
             telemetry.add(
                 Counter::MappingEvals,

@@ -316,8 +316,9 @@ pub fn run_property<V>(
 
 pub use rand::SeedableRng as __SeedableRng;
 
-/// Defines property tests: `proptest! { #![proptest_config(cfg)] fn
-/// name(x in strategy, ...) { body } ... }`.
+/// Defines property tests: `proptest! { #![proptest_config(cfg)]
+/// #[test] fn name(x in strategy, ...) { body } ... }`. As upstream,
+/// each property carries its own `#[test]`; the macro adds none.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -337,7 +338,6 @@ macro_rules! __proptest_impl {
         fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             let strategy = ($($strat,)+);
@@ -392,6 +392,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Range strategies stay in bounds.
+        #[test]
         fn ranges_in_bounds(a in 3u64..17, b in -2i64..=2, f in 0.25f64..0.75) {
             prop_assert!((3..17).contains(&a));
             prop_assert!((-2..=2).contains(&b));
@@ -399,6 +400,7 @@ mod tests {
         }
 
         /// Mapped, tupled, vec and array strategies compose.
+        #[test]
         fn combinators_compose(
             v in crate::collection::vec((1u32..5).prop_map(|x| x * 2), 1..6),
             arr in crate::array::uniform4(0.0f64..1.0),

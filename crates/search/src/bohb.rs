@@ -121,11 +121,12 @@ where
             .enumerate()
             .map(|(i, hw)| env.session(hw, cfg.seed.wrapping_add((iter * 131 + i) as u64)))
             .collect();
-        sh::run_with_engine(
+        sh::run(
             &mut sessions,
             &ShConfig::plain(cfg.b_max),
             &engine,
             Telemetry::global(),
+            None,
         );
         let cpu: f64 = sessions.iter().map(HwSession::cost_seconds).sum();
         clock.charge(cpu, (cfg.batch * env.num_jobs()) as u32);

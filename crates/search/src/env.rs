@@ -16,6 +16,10 @@ use unico_mapping::{
 use unico_model::{Platform, Ppa};
 use unico_workloads::{FusionEdge, ImportedGraph, LoopNest, Network};
 
+use crate::engine::MappingEngine;
+use crate::pool::advance_with_engine;
+use crate::telemetry::{Counter, Telemetry};
+
 /// Evaluation policy of a [`CoSearchEnv`].
 #[derive(Debug, Clone, Copy)]
 pub struct EnvConfig {
@@ -508,38 +512,15 @@ fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / positive.len() as f64).exp()
 }
 
-/// Advances the selected sessions to `budget` in parallel (one thread
-/// per session — the paper's per-job multiprocessing).
-///
-/// It spawns one scoped thread per selected session and joins them
-/// before returning. [`evaluate_batch`] uses it for one-shot batches
-/// (NSGA-II, HASCO, the experiments); successive-halving rounds go
-/// through [`crate::advance_with_engine`] on a persistent
-/// [`crate::MappingEngine`] instead.
-pub fn advance_parallel<P: Platform>(
-    sessions: &mut [HwSession<'_, P>],
-    select: &[bool],
-    budget: u64,
-) where
-    P::Hw: Send,
-{
-    assert_eq!(sessions.len(), select.len(), "selection mask length");
-    std::thread::scope(|scope| {
-        for (sess, &on) in sessions.iter_mut().zip(select) {
-            if on {
-                scope.spawn(move || sess.advance_to(budget));
-            }
-        }
-    });
-}
-
 /// Evaluates a batch of hardware candidates at a fixed full budget (no
-/// early stopping): opens a session per candidate, advances all in
-/// parallel, and returns `(hw, assessment)` pairs plus the CPU seconds
-/// consumed and the parallel width of the phase.
+/// early stopping): opens a session per candidate, advances all on
+/// `engine`, and returns `(hw, assessment)` pairs plus the CPU seconds
+/// consumed and the parallel width of the phase. A candidate whose
+/// mapping search panics is contained and assesses as infeasible.
 #[allow(clippy::type_complexity)]
 pub fn evaluate_batch<P: Platform>(
     env: &CoSearchEnv<'_, P>,
+    engine: &MappingEngine,
     hws: Vec<P::Hw>,
     budget: u64,
     seed: u64,
@@ -553,14 +534,14 @@ where
         .map(|(i, hw)| env.session(hw, seed.wrapping_add(i as u64)))
         .collect();
     let select = vec![true; sessions.len()];
-    advance_parallel(&mut sessions, &select, budget);
+    let global = Telemetry::global();
+    advance_with_engine(engine, &mut sessions, &select, budget, None, global);
     let cpu: f64 = sessions.iter().map(HwSession::cost_seconds).sum();
-    let global = crate::telemetry::Telemetry::global();
     global.add(
-        crate::telemetry::Counter::MappingEvals,
+        Counter::MappingEvals,
         sessions.iter().map(HwSession::total_steps).sum(),
     );
-    global.add(crate::telemetry::Counter::HwEvals, sessions.len() as u64);
+    global.add(Counter::HwEvals, sessions.len() as u64);
     let mut gstats = unico_mapping::GradientStats::default();
     let mut fstats = FusionStats::default();
     for s in &sessions {
@@ -638,21 +619,6 @@ mod tests {
         s.advance_to(60);
         assert!(s.assess().is_none());
         assert_eq!(s.terminal_value(), f64::INFINITY);
-    }
-
-    #[test]
-    fn parallel_advance_matches_serial_budgets() {
-        let p = SpatialPlatform::edge();
-        let e = env(&p);
-        let mut rng = rand::SeedableRng::seed_from_u64(7);
-        let mut sessions: Vec<_> = (0..4)
-            .map(|i| e.session(e.platform().sample_hw(&mut rng), i))
-            .collect();
-        let select = vec![true, false, true, true];
-        advance_parallel(&mut sessions, &select, 30);
-        assert_eq!(sessions[0].spent(), 30);
-        assert_eq!(sessions[1].spent(), 0);
-        assert_eq!(sessions[2].spent(), 30);
     }
 
     #[test]
@@ -788,5 +754,89 @@ mod tests {
             return;
         }
         panic!("no hardware with an accepted fused group in 60 samples");
+    }
+
+    /// The spatial template, except that every bound cost panics when
+    /// mapping search first scores a mapping.
+    struct PanickingSearch(SpatialPlatform);
+
+    struct PanickingCost;
+
+    impl MappingCost for PanickingCost {
+        fn assess(&self, _: &Mapping) -> Option<unico_mapping::MappingOutcome> {
+            panic!("mapping search exploded");
+        }
+    }
+
+    impl Platform for PanickingSearch {
+        type Hw = <SpatialPlatform as Platform>::Hw;
+        fn name(&self) -> &str {
+            "panicking-search"
+        }
+        fn feature_dim(&self) -> usize {
+            self.0.feature_dim()
+        }
+        fn encode(&self, hw: &Self::Hw) -> Vec<f64> {
+            self.0.encode(hw)
+        }
+        fn sample_hw(&self, rng: &mut rand::rngs::StdRng) -> Self::Hw {
+            self.0.sample_hw(rng)
+        }
+        fn perturb_hw(&self, rng: &mut rand::rngs::StdRng, hw: &Self::Hw) -> Self::Hw {
+            self.0.perturb_hw(rng, hw)
+        }
+        fn crossover_hw(
+            &self,
+            rng: &mut rand::rngs::StdRng,
+            a: &Self::Hw,
+            b: &Self::Hw,
+        ) -> Self::Hw {
+            self.0.crossover_hw(rng, a, b)
+        }
+        fn area_mm2(&self, hw: &Self::Hw) -> f64 {
+            self.0.area_mm2(hw)
+        }
+        fn hw_space_size(&self) -> u64 {
+            self.0.hw_space_size()
+        }
+        fn bind<'a>(
+            &'a self,
+            _: &Self::Hw,
+            _: &LoopNest,
+        ) -> Box<dyn MappingCost + Send + Sync + 'a> {
+            Box::new(PanickingCost)
+        }
+        fn make_searcher(
+            &self,
+            hw: &Self::Hw,
+            nest: &LoopNest,
+            seed: u64,
+        ) -> Box<dyn MappingSearcher + Send> {
+            self.0.make_searcher(hw, nest, seed)
+        }
+        fn eval_cost_seconds(&self) -> f64 {
+            self.0.eval_cost_seconds()
+        }
+        fn describe(&self, hw: &Self::Hw) -> String {
+            self.0.describe(hw)
+        }
+    }
+
+    #[test]
+    fn evaluate_batch_contains_a_panicking_search() {
+        let p = PanickingSearch(SpatialPlatform::edge());
+        let e = CoSearchEnv::new(&p, &[zoo::mobilenet_v1()], EnvConfig::default());
+        let mut rng = rand::SeedableRng::seed_from_u64(1);
+        let hws = vec![p.sample_hw(&mut rng), p.sample_hw(&mut rng)];
+        let engine = MappingEngine::new(2);
+        let (results, _, _) = evaluate_batch(&e, &engine, hws.clone(), 20, 0);
+        // Both candidates come back, assessed infeasible, and the
+        // engine keeps serving.
+        assert_eq!(results.len(), 2);
+        for ((hw, a), want) in results.iter().zip(&hws) {
+            assert_eq!(hw, want);
+            assert!(a.is_none());
+        }
+        assert_eq!(engine.metrics().jobs_executed, 2);
     }
 }

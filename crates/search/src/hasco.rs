@@ -15,6 +15,7 @@ use unico_surrogate::pareto::ParetoFront;
 use unico_surrogate::scalarize::{normalize_columns, parego, sample_simplex, DEFAULT_RHO};
 use unico_surrogate::{expected_improvement, GaussianProcess, KernelKind, PoolPosterior};
 
+use crate::engine::MappingEngine;
 use crate::env::{evaluate_batch, CoSearchEnv};
 use crate::trace::{SearchTrace, SimClock};
 use crate::CoSearchResult;
@@ -63,6 +64,8 @@ where
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<Vec<f64>> = Vec::new();
     let mut hw_evals = 0usize;
+    // One candidate per iteration: a single worker runs its jobs.
+    let engine = MappingEngine::new(1);
 
     for iter in 0..cfg.iterations {
         let candidate = if iter < cfg.warmup || xs.is_empty() {
@@ -105,6 +108,7 @@ where
 
         let (evald, cpu, width) = evaluate_batch(
             env,
+            &engine,
             vec![candidate],
             cfg.inner_budget,
             cfg.seed.wrapping_add(iter as u64 * 104729),

@@ -97,9 +97,8 @@ where
                 b_max: cfg.b_max,
                 auc_fraction: cfg.auc_fraction,
                 min_budget: (cfg.b_max / u64::from(cfg.eta).pow(s as u32)).max(4),
-                workers: cfg.workers as usize,
             };
-            sh::run_with_engine(&mut sessions, &sh_cfg, &engine, Telemetry::global());
+            sh::run(&mut sessions, &sh_cfg, &engine, Telemetry::global(), None);
             let cpu: f64 = sessions.iter().map(HwSession::cost_seconds).sum();
             clock.charge(cpu, (n * env.num_jobs()) as u32);
             hw_evals += sessions.len();

@@ -5,9 +5,9 @@
 //!
 //! * [`CoSearchEnv`] / [`HwSession`] — the shared evaluation environment:
 //!   one session per hardware candidate holds a resumable mapping
-//!   searcher per (network, layer) job, advances them in parallel, and
-//!   aggregates per-layer best mappings into network-level PPA with
-//!   simulated wall-clock cost accounting;
+//!   searcher per (network, layer) job, advances them on the run's
+//!   [`MappingEngine`], and aggregates per-layer best mappings into
+//!   network-level PPA with simulated wall-clock cost accounting;
 //! * [`sh`] — successive halving and the paper's *modified* successive
 //!   halving (MSH) that promotes by terminal value **and** convergence
 //!   rate (AUC);
@@ -42,14 +42,12 @@ mod trace;
 
 pub use bohb::{run_mobohb, MobohbConfig};
 pub use engine::{EngineMetrics, MappingEngine};
-pub use env::{
-    advance_parallel, evaluate_batch, Assessment, CoSearchEnv, EnvConfig, FusionReport, HwSession,
-};
+pub use env::{evaluate_batch, Assessment, CoSearchEnv, EnvConfig, FusionReport, HwSession};
 pub use fault::{FaultContext, FaultKind, FaultPlan, RetryPolicy};
 pub use hasco::{run_hasco, HascoConfig};
 pub use hyperband::{run_hyperband, HyperbandConfig};
 pub use nsga2::{run_nsga2, Nsga2Config};
-pub use pool::{advance_with_engine, ComputeTopology};
+pub use pool::advance_with_engine;
 pub use telemetry::{
     CacheReport, CheckpointReport, Counter, FaultReport, RunReport, Telemetry, TelemetrySnapshot,
 };

@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use unico_model::Platform;
 use unico_surrogate::pareto::{crowding_distance, non_dominated_sort, ParetoFront};
 
+use crate::engine::MappingEngine;
 use crate::env::{evaluate_batch, Assessment, CoSearchEnv};
 use crate::trace::{SearchTrace, SimClock};
 use crate::CoSearchResult;
@@ -30,7 +31,8 @@ pub struct Nsga2Config {
     pub mutation_rate: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Parallel workers for cost accounting.
+    /// Parallel workers: sizes the run's [`MappingEngine`] and the
+    /// simulated clock's cost accounting.
     pub workers: u32,
 }
 
@@ -64,6 +66,8 @@ where
     let mut trace = SearchTrace::new();
     let mut front: ParetoFront<P::Hw> = ParetoFront::new();
     let mut hw_evals = 0usize;
+    // One worker pool for every generation.
+    let engine = MappingEngine::new((cfg.workers as usize).max(1));
 
     let evaluate = |hws: Vec<P::Hw>,
                     gen: u64,
@@ -74,6 +78,7 @@ where
         let n = hws.len();
         let (evald, cpu, width) = evaluate_batch(
             env,
+            &engine,
             hws,
             cfg.inner_budget,
             cfg.seed.wrapping_add(gen * 7919),

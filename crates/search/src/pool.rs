@@ -173,38 +173,6 @@ where
     contained
 }
 
-/// A reusable handle describing the compute topology of a deployment:
-/// how many mapping-search workers ("slaves") the master may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComputeTopology {
-    /// Concurrent mapping-search jobs.
-    pub workers: usize,
-}
-
-impl Default for ComputeTopology {
-    fn default() -> Self {
-        ComputeTopology { workers: 16 }
-    }
-}
-
-impl ComputeTopology {
-    /// A single-machine topology with `workers` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn local(workers: usize) -> Self {
-        assert!(workers > 0, "topology needs at least one worker");
-        ComputeTopology { workers }
-    }
-
-    /// Spawns a persistent [`MappingEngine`] with this topology's
-    /// worker count.
-    pub fn spawn_engine(&self) -> MappingEngine {
-        MappingEngine::new(self.workers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,19 +247,22 @@ mod tests {
         let p = SpatialPlatform::edge();
         let e = env(&p);
         // Same seeds -> identical searcher streams regardless of which
-        // worker runs them.
+        // worker runs them; a plain serial loop on this thread is the
+        // oracle.
         let mut a = sessions(&e, 6);
         let mut c = sessions(&e, 6);
         let select = vec![true; 6];
         let engine = MappingEngine::new(2);
         advance_with_engine(&engine, &mut a, &select, 40, None, &Telemetry::new());
-        crate::env::advance_parallel(&mut c, &select, 40);
+        for s in &mut c {
+            s.advance_to(40);
+        }
         for (x, z) in a.iter().zip(&c) {
             assert_eq!(x.spent(), z.spent());
             assert_eq!(
                 x.assess().map(|v| v.latency_s),
                 z.assess().map(|v| v.latency_s),
-                "engine and unbounded execution must be deterministic-equal"
+                "engine and serial execution must be deterministic-equal"
             );
         }
     }
@@ -305,12 +276,5 @@ mod tests {
         let none = [false, false, false];
         advance_with_engine(&engine, &mut ss, &none, 10, None, &Telemetry::new());
         assert!(ss.iter().all(|s| s.spent() == 0));
-    }
-
-    #[test]
-    fn topology_constructors() {
-        assert_eq!(ComputeTopology::default().workers, 16);
-        assert_eq!(ComputeTopology::local(4).workers, 4);
-        assert_eq!(ComputeTopology::local(2).spawn_engine().workers(), 2);
     }
 }

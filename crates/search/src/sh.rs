@@ -31,9 +31,6 @@ pub struct ShConfig {
     pub auc_fraction: f64,
     /// Lower bound on any round's budget.
     pub min_budget: u64,
-    /// Concurrent mapping-search workers draining the round's job queue
-    /// (the paper's slave pool, Fig. 6).
-    pub workers: usize,
 }
 
 impl ShConfig {
@@ -43,7 +40,6 @@ impl ShConfig {
             b_max,
             auc_fraction: 0.0,
             min_budget: 8,
-            workers: 16,
         }
     }
 
@@ -53,7 +49,6 @@ impl ShConfig {
             b_max,
             auc_fraction: 0.15,
             min_budget: 8,
-            workers: 16,
         }
     }
 }
@@ -70,45 +65,12 @@ pub struct ShOutcome {
     pub contained_panics: u64,
 }
 
-/// Runs SH/MSH over `sessions` on a transient engine.
-///
-/// Spawns (and on return tears down) a worker pool of its own; loops
-/// should create one [`MappingEngine`] and call [`run_with_engine`].
-///
-/// # Panics
-///
-/// Panics if `sessions` is empty.
-pub fn run<P: Platform>(sessions: &mut [HwSession<'_, P>], cfg: &ShConfig) -> ShOutcome
-where
-    P::Hw: Send,
-{
-    let engine = MappingEngine::new(cfg.workers);
-    let telemetry = Telemetry::new();
-    run_with_engine(sessions, cfg, &engine, &telemetry)
-}
-
 /// Runs SH/MSH over `sessions`, advancing survivors on the given
-/// persistent engine and recording counters into `telemetry`. All
-/// sessions retain their (partial) histories so the caller can still
-/// assess early-stopped candidates.
+/// persistent engine (the paper's slave pool, Fig. 6) and recording
+/// counters into `telemetry`. All sessions retain their (partial)
+/// histories so the caller can still assess early-stopped candidates.
 ///
-/// # Panics
-///
-/// Panics if `sessions` is empty.
-pub fn run_with_engine<P: Platform>(
-    sessions: &mut [HwSession<'_, P>],
-    cfg: &ShConfig,
-    engine: &MappingEngine,
-    telemetry: &Telemetry,
-) -> ShOutcome
-where
-    P::Hw: Send,
-{
-    run_with_engine_faulted(sessions, cfg, engine, telemetry, None)
-}
-
-/// [`run_with_engine`] with an optional deterministic fault-injection
-/// context: every round's advance goes through
+/// With a fault-injection context, every round's advance goes through
 /// [`advance_with_engine`], which retries transient failures and
 /// quarantines sessions that exhaust their retries. Poisoned sessions
 /// stay in the candidate set but assess as infeasible, so promotion
@@ -117,7 +79,7 @@ where
 /// # Panics
 ///
 /// Panics if `sessions` is empty.
-pub fn run_with_engine_faulted<P: Platform>(
+pub fn run<P: Platform>(
     sessions: &mut [HwSession<'_, P>],
     cfg: &ShConfig,
     engine: &MappingEngine,
@@ -310,6 +272,19 @@ mod tests {
             .collect()
     }
 
+    fn run_on_fresh_engine(
+        sessions: &mut [HwSession<'_, SpatialPlatform>],
+        cfg: &ShConfig,
+    ) -> ShOutcome {
+        run(
+            sessions,
+            cfg,
+            &MappingEngine::new(2),
+            &Telemetry::new(),
+            None,
+        )
+    }
+
     fn test_env(p: &SpatialPlatform) -> CoSearchEnv<'_, SpatialPlatform> {
         CoSearchEnv::new(
             p,
@@ -327,7 +302,7 @@ mod tests {
         let p = SpatialPlatform::edge();
         let env = test_env(&p);
         let mut ss = sessions(&env, 8);
-        let out = run(&mut ss, &ShConfig::plain(64));
+        let out = run_on_fresh_engine(&mut ss, &ShConfig::plain(64));
         assert_eq!(out.round_budgets.len(), 3);
         assert_eq!(*out.round_budgets.last().unwrap(), 64);
         assert_eq!(out.contained_panics, 0);
@@ -347,7 +322,7 @@ mod tests {
         let p = SpatialPlatform::edge();
         let env = test_env(&p);
         let mut ss = sessions(&env, 8);
-        let out = run(&mut ss, &ShConfig::modified(64));
+        let out = run_on_fresh_engine(&mut ss, &ShConfig::modified(64));
         assert_eq!(out.finalists.len(), 2);
     }
 
@@ -358,7 +333,7 @@ mod tests {
         let engine = MappingEngine::new(4);
         let telemetry = Telemetry::new();
         let mut ss = sessions(&env, 8);
-        let out = run_with_engine(&mut ss, &ShConfig::modified(64), &engine, &telemetry);
+        let out = run(&mut ss, &ShConfig::modified(64), &engine, &telemetry, None);
         assert_eq!(out.finalists.len(), 2);
         let m = engine.metrics();
         assert_eq!(m.threads_spawned, 4, "one spawn for all rounds");
@@ -376,7 +351,7 @@ mod tests {
         let p = SpatialPlatform::edge();
         let env = test_env(&p);
         let mut ss = sessions(&env, 1);
-        let out = run(&mut ss, &ShConfig::plain(32));
+        let out = run_on_fresh_engine(&mut ss, &ShConfig::plain(32));
         assert_eq!(out.finalists, vec![0]);
         assert_eq!(ss[0].spent(), 32);
     }

@@ -51,7 +51,7 @@ fn worker_panic_poisons_session_and_round_completes() {
     let engine = MappingEngine::new(4);
     let telemetry = Telemetry::new();
 
-    let out = sh::run_with_engine_faulted(
+    let out = sh::run(
         &mut ss,
         &ShConfig::modified(64),
         &engine,
@@ -116,7 +116,7 @@ fn engine_survives_panics_across_consecutive_rounds() {
     let engine = MappingEngine::new(4);
     let telemetry = Telemetry::new();
 
-    let out = sh::run_with_engine_faulted(
+    let out = sh::run(
         &mut ss,
         &ShConfig::modified(64),
         &engine,

@@ -14,6 +14,7 @@ fn keys() -> impl Strategy<Value = Vec<(f64, f64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    #[test]
     fn quota_respects_bounds(n in 1usize..200, frac in 0.0f64..1.0) {
         let (k, p) = promotion_quota(n, frac);
         prop_assert!(k >= 1);
@@ -22,6 +23,7 @@ proptest! {
         prop_assert!(p <= (frac * n as f64).floor() as usize);
     }
 
+    #[test]
     fn auc_slots_never_exceed_p(pairs in keys(), frac in 0.0f64..1.0) {
         let tv: Vec<f64> = pairs.iter().map(|&(t, _)| t).collect();
         let auc: Vec<f64> = pairs.iter().map(|&(_, a)| a).collect();
@@ -31,6 +33,7 @@ proptest! {
         prop_assert!(sel.selected.iter().all(|&i| i < pairs.len()));
     }
 
+    #[test]
     fn dedup_top_up_fills_exactly_k(pairs in keys(), frac in 0.0f64..1.0) {
         let tv: Vec<f64> = pairs.iter().map(|&(t, _)| t).collect();
         // Adversarial AUC keys: constant, so the AUC pass prefers
@@ -46,6 +49,7 @@ proptest! {
         prop_assert_eq!(uniq.len(), sel.selected.len(), "no duplicate survivors");
     }
 
+    #[test]
     fn plain_sh_matches_pure_tv_selection(pairs in keys()) {
         let tv: Vec<f64> = pairs.iter().map(|&(t, _)| t).collect();
         let auc: Vec<f64> = pairs.iter().map(|&(_, a)| a).collect();
@@ -63,6 +67,7 @@ proptest! {
         prop_assert_eq!(&chosen[..], &all[..k.min(all.len())]);
     }
 
+    #[test]
     fn selection_invariant_under_frac(pairs in keys(), frac in 0.0f64..1.0) {
         // Whatever the split, the TV-best candidate always survives.
         let tv: Vec<f64> = pairs.iter().map(|&(t, _)| t).collect();

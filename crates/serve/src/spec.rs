@@ -150,7 +150,7 @@ impl JobSpec {
             );
         }
         for name in &workloads {
-            if zoo::by_name(name).is_none() {
+            if zoo::lookup(name).is_none() {
                 let nets = zoo::all();
                 let known: Vec<&str> = nets.iter().map(|n| n.name()).collect();
                 return Err(format!(

@@ -189,32 +189,6 @@ impl<T> ParetoFront<T> {
         true
     }
 
-    /// The entry minimizing raw Euclidean distance to the origin after
-    /// per-column unit scaling (e.g. seconds→ms); with the paper's table
-    /// units the distance is dominated by the largest-magnitude
-    /// objective, which is how the paper's reported knee points behave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales.len()` differs from the objective dimension.
-    pub fn min_euclidean_scaled(&self, scales: &[f64]) -> Option<(&[f64], &T)> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, (y, _)) in self.entries.iter().enumerate() {
-            assert_eq!(y.len(), scales.len(), "scale/objective length mismatch");
-            let d: f64 = y.iter().zip(scales).map(|(v, s)| (v * s).powi(2)).sum();
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        let (y, t) = &self.entries[best];
-        Some((y.as_slice(), t))
-    }
-
     /// The entry minimizing Euclidean distance to the origin in
     /// column-normalized objective space — the paper's rule for picking
     /// a single design off the front.

@@ -719,14 +719,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        #[test]
         fn escape_round_trips_through_parse(s in text()) {
             prop_assert_eq!(parse(&escape(&s)), Ok(Json::Str(s.clone())));
         }
 
+        #[test]
         fn external_writer_round_trips_through_parse(s in text(), ascii in 0u8..2) {
             prop_assert_eq!(parse(&quote(&s, ascii == 1)), Ok(Json::Str(s.clone())));
         }
 
+        #[test]
         fn every_u64_literal_round_trips_exactly(n in 0u64..=u64::MAX, f in -1e300f64..1e300) {
             for bits in [n, f.to_bits(), (f * 1e-310).to_bits()] {
                 let v = parse(&bits.to_string()).unwrap();

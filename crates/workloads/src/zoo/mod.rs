@@ -24,34 +24,41 @@ pub use transformer::{bert_base, vit_base};
 
 use crate::{Layer, Network};
 
-/// Looks a network up by its paper-table name (case-insensitive).
+/// Looks a network's constructor up by its paper-table name
+/// (case-insensitive), without building the network.
 ///
 /// Recognized names include `bert`, `mobilenet`, `mobilenetv2`,
 /// `mobilenetv3-large`, `mobilenetv3-small`, `resnet`, `srgan`, `unet`,
 /// `vit`, `xception`, `vgg`, `nasnetmobile`, `efficientnetv2`, `convnext`,
 /// `resunet`, `fsrcnn`, and `dleu`.
-pub fn by_name(name: &str) -> Option<Network> {
+pub fn lookup(name: &str) -> Option<fn() -> Network> {
     let key = name.to_ascii_lowercase().replace(['_', ' '], "-");
     Some(match key.as_str() {
-        "bert" | "bert-base" => bert_base(),
-        "mobilenet" | "mobilenetv1" => mobilenet_v1(),
-        "mobilenetv2" => mobilenet_v2(),
-        "mobilenetv3-large" => mobilenet_v3_large(),
-        "mobilenetv3-small" => mobilenet_v3_small(),
-        "resnet" | "resnet50" => resnet50(),
-        "srgan" => srgan(),
-        "unet" => unet(),
-        "vit" | "vit-base" => vit_base(),
-        "xception" => xception(),
-        "vgg" | "vgg16" => vgg16(),
-        "nasnetmobile" => nasnet_mobile(),
-        "efficientnetv2" | "efficientnetv2-s" => efficientnet_v2_s(),
-        "convnext" | "convnext-tiny" => convnext_tiny(),
-        "resunet" => resunet(),
-        "fsrcnn" => fsrcnn(320, 120),
-        "dleu" => dleu(),
+        "bert" | "bert-base" => bert_base,
+        "mobilenet" | "mobilenetv1" => mobilenet_v1,
+        "mobilenetv2" => mobilenet_v2,
+        "mobilenetv3-large" => mobilenet_v3_large,
+        "mobilenetv3-small" => mobilenet_v3_small,
+        "resnet" | "resnet50" => resnet50,
+        "srgan" => srgan,
+        "unet" => unet,
+        "vit" | "vit-base" => vit_base,
+        "xception" => xception,
+        "vgg" | "vgg16" => vgg16,
+        "nasnetmobile" => nasnet_mobile,
+        "efficientnetv2" | "efficientnetv2-s" => efficientnet_v2_s,
+        "convnext" | "convnext-tiny" => convnext_tiny,
+        "resunet" => resunet,
+        "fsrcnn" => || fsrcnn(320, 120),
+        "dleu" => dleu,
         _ => return None,
     })
+}
+
+/// Builds a network by its paper-table name (case-insensitive); the
+/// names are those of [`lookup`].
+pub fn by_name(name: &str) -> Option<Network> {
+    lookup(name).map(|f| f())
 }
 
 /// Every network in the zoo.
@@ -159,9 +166,11 @@ mod tests {
             "FSRCNN",
             "DLEU",
         ] {
-            assert!(by_name(n).is_some(), "missing network {n}");
+            let built = by_name(n).unwrap_or_else(|| panic!("missing network {n}"));
+            assert_eq!(lookup(n).map(|f| f()), Some(built), "lookup of {n}");
         }
         assert!(by_name("nonexistent-net").is_none());
+        assert!(lookup("nonexistent-net").is_none());
     }
 
     #[test]
