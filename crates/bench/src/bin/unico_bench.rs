@@ -31,7 +31,14 @@
 //!   fits at several training-set sizes;
 //! * one kriging-believer acquisition batch (`select_batch`, pool 256,
 //!   22 picks) at the same training-set sizes;
-//! * one exact hypervolume of 30 uniform points in 4-D.
+//! * one exact hypervolume of 30 uniform points in 4-D;
+//!
+//! and, on the checkpoint codec, over the final boundary of a fixed
+//! seed-3 run in the `outer-loop-resume` shape:
+//!
+//! * `Checkpoint::to_json` of the final checkpoint;
+//! * `EvalCache::to_trace` of the run's cache (the trace that
+//!   checkpoint embeds).
 //!
 //! Output is a single JSON artifact (default `BENCH_batch_eval.json`,
 //! override with `--out <file>`), schema
@@ -51,12 +58,14 @@ use rand::{Rng, SeedableRng};
 
 use unico_bench::microbench::MicroBench;
 use unico_camodel::{AscendConfig, AscendModel, DepthFirstFusionSearch};
+use unico_core::{Checkpoint, CheckpointPolicy, RunOptions, Unico, UnicoConfig};
 use unico_mapping::{AnnealingSearch, Mapping, MappingSearcher, MappingSpace};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
+use unico_search::{CoSearchEnv, EnvConfig};
 use unico_surrogate::hypervolume::hypervolume;
 use unico_surrogate::linalg::Matrix;
 use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, Kernel, KernelKind};
-use unico_workloads::TensorOp;
+use unico_workloads::{zoo, TensorOp};
 
 /// Candidates per measured batch — the scale of one SH cohort.
 const BATCH: usize = 256;
@@ -471,6 +480,52 @@ fn bench_hypervolume(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     entries.push(entry("hypervolume/4d/n30", "seconds", row.median_ns * 1e-9));
 }
 
+/// The checkpoint codec on the final boundary of one seed-3 run in the
+/// `outer-loop-resume` shape (cloud, one resnet50 layer, batch 30,
+/// `b_max` 8, 8 iterations, 2 workers): the checkpoint's serialization
+/// and its embedded cache trace.
+fn bench_checkpoint(b: &mut MicroBench, entries: &mut Vec<Entry>) {
+    let cache = std::sync::Arc::new(EvalCache::new());
+    let p = SpatialPlatform::cloud().with_eval_cache(std::sync::Arc::clone(&cache));
+    let nets = [zoo::by_name("resnet50").expect("zoo network")];
+    let env = CoSearchEnv::new(
+        &p,
+        &nets,
+        EnvConfig {
+            max_layers_per_network: 1,
+            ..EnvConfig::default()
+        },
+    );
+    let cfg = UnicoConfig {
+        max_iter: 8,
+        batch: 30,
+        b_max: 8,
+        workers: 2,
+        seed: 3,
+        ..UnicoConfig::default()
+    };
+    let path = std::env::temp_dir().join(format!("unico-bench-{}.checkpoint", std::process::id()));
+    let opts = RunOptions {
+        checkpoint: Some(CheckpointPolicy::new(&path).with_every(cfg.max_iter)),
+        ..RunOptions::default()
+    };
+    Unico::new(cfg).run_with_options(&env, &opts);
+    let ck = Checkpoint::read(&path).expect("final checkpoint");
+    let _ = std::fs::remove_file(&path);
+    let row = b.run("checkpoint/to_json/outer_final", || ck.to_json().len());
+    entries.push(entry(
+        "checkpoint/to_json/outer_final",
+        "seconds",
+        row.median_ns * 1e-9,
+    ));
+    let row = b.run("evalcache/to_trace/outer_final", || cache.to_trace().len());
+    entries.push(entry(
+        "evalcache/to_trace/outer_final",
+        "seconds",
+        row.median_ns * 1e-9,
+    ));
+}
+
 fn render_json(entries: &[Entry]) -> String {
     let mut o = String::from("{\"schema\":\"unico.bench.batch_eval.v1\",\"entries\":[");
     for (i, e) in entries.iter().enumerate() {
@@ -510,6 +565,7 @@ fn main() {
     bench_cholesky(&mut b, &mut entries);
     bench_gp(&mut b, &mut entries);
     bench_hypervolume(&mut b, &mut entries);
+    bench_checkpoint(&mut b, &mut entries);
 
     println!("\n{}", b.to_markdown());
     unico_bench::write_file(std::path::Path::new(&out), &render_json(&entries));

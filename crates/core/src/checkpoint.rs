@@ -25,9 +25,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{IoSlice, Write as _};
 use std::path::{Path, PathBuf};
 
+use unico_model::{push_trace_header, push_trace_line, EntryCursor, EvalCache, EvalKey};
 use unico_workloads::json::{self, Json};
 
 use crate::unico::UnicoConfig;
@@ -317,62 +318,27 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Renders the checkpoint as its on-disk JSON form.
+    ///
+    /// This is the reference encoding: [`CheckpointWriter`] assembles
+    /// the same bytes from the same item encoders.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push('{');
-        o.push_str(&format!("\"schema\":{},", json::escape(SCHEMA)));
-        let c = &self.config;
-        o.push_str(&format!(
-            "\"config\":{{\"max_iter\":{},\"batch\":{},\"b_max\":{},\"auc_fraction\":{},\
-             \"high_fidelity\":{},\"robustness_objective\":{},\"alpha\":{},\"rho\":{},\
-             \"random_fraction\":{},\"candidate_pool\":{},\"uul_percentile\":{},\"seed\":{},\
-             \"workers\":{}}},",
-            c.max_iter,
-            c.batch,
-            c.b_max,
-            bits(c.auc_fraction),
-            c.high_fidelity,
-            c.robustness_objective,
-            bits(c.alpha),
-            bits(c.rho),
-            bits(c.random_fraction),
-            c.candidate_pool,
-            bits(c.uul_percentile),
-            c.seed,
-            c.workers
-        ));
-        o.push_str(&format!("\"platform\":{},", json::escape(&self.platform)));
-        o.push_str(&format!("\"iterations_done\":{},", self.iterations_done));
-        o.push_str(&format!(
-            "\"rng\":[{},{},{},{}],",
-            self.rng[0], self.rng[1], self.rng[2], self.rng[3]
-        ));
-        o.push_str(&format!("\"clock_seconds\":{},", bits(self.clock_seconds)));
-        o.push_str(&format!("\"uul\":{},", bits(self.uul)));
-        o.push_str(&format!("\"accepted_d\":{},", bits_array(&self.accepted_d)));
-        o.push_str("\"front\":[");
-        push_joined(&mut o, &self.front, |o, e| {
-            o.push_str(&format!("{{\"y\":{},\"idx\":{}}}", bits_array(&e.y), e.idx))
-        });
-        o.push_str("],\"evaluations\":[");
-        push_joined(&mut o, &self.evaluations, |o, e| {
-            o.push_str("{\"hw\":[");
-            push_joined(o, &e.hw_words, |o, w| o.push_str(&w.to_string()));
-            o.push_str("],\"assessment\":");
-            match &e.assessment {
-                None => o.push_str("null"),
-                Some(a) => o.push_str(&format!("[{},{},{}]", bits(a[0]), bits(a[1]), bits(a[2]))),
-            }
-            o.push_str(",\"robustness\":");
-            match e.robustness {
-                None => o.push_str("null"),
-                Some(r) => o.push_str(&bits(r).to_string()),
-            }
-            o.push_str(&format!(
-                ",\"spent\":{},\"iteration\":{},\"fed\":{}}}",
-                e.spent, e.iteration, e.fed
-            ))
-        });
+        let trace_len = self.cache.as_ref().map_or(0, |c| c.trace.len());
+        let mut o = String::with_capacity(4096 + trace_len + trace_len / 32);
+        push_head(
+            &mut o,
+            &self.config,
+            &self.platform,
+            self.iterations_done,
+            self.rng,
+            self.clock_seconds,
+            self.uul,
+        );
+        o.push_str("\"accepted_d\":");
+        push_bits_row(&mut o, &self.accepted_d);
+        o.push(',');
+        push_front(&mut o, self.front.iter().map(|e| (e.y.as_slice(), e.idx)));
+        o.push_str("\"evaluations\":[");
+        push_joined(&mut o, &self.evaluations, push_evaluation);
         o.push(']');
         for (key, rows) in [
             ("all_xs", &self.all_xs),
@@ -380,56 +346,29 @@ impl Checkpoint {
             ("hf_xs", &self.hf_xs),
             ("hf_ys", &self.hf_ys),
         ] {
-            o.push_str(&format!(",\"{key}\":["));
-            push_joined(&mut o, rows, |o, row| o.push_str(&bits_array(row)));
+            push_rows_open(&mut o, key);
+            push_joined(&mut o, rows, |o, row| push_bits_row(o, row));
             o.push(']');
         }
         o.push_str(",\"trace\":[");
         push_joined(&mut o, &self.trace, |o, p| {
-            o.push_str(&format!("{{\"seconds\":{},\"front\":[", bits(p.seconds)));
-            push_joined(o, &p.front, |o, row| o.push_str(&bits_array(row)));
-            o.push_str("]}")
+            push_trace_point(o, p.seconds, &p.front)
         });
-        o.push_str("],\"networks\":[");
-        push_joined(&mut o, &self.networks, |o, n| {
-            o.push_str(&format!(
-                "{{\"name\":{},\"layers\":{}}}",
-                json::escape(&n.name),
-                n.layers
-            ))
-        });
-        o.push_str("],\"counters\":{");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                o.push(',');
-            }
-            first = false;
-            o.push_str(&format!("{}:{v}", json::escape(k)));
-        }
-        o.push_str("},\"cache\":");
+        o.push(']');
+        push_networks(
+            &mut o,
+            self.networks.iter().map(|n| (n.name.as_str(), n.layers)),
+        );
+        push_counters(&mut o, self.counters.iter().map(|(k, &v)| (k.as_str(), v)));
         match &self.cache {
             None => o.push_str("null"),
-            Some(c) => o.push_str(&format!(
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"trace\":{}}}",
-                c.hits,
-                c.misses,
-                c.evictions,
-                json::escape(&c.trace)
-            )),
+            Some(c) => {
+                push_cache_open(&mut o, c.hits, c.misses, c.evictions);
+                json::escape_chars_into(&c.trace, &mut o);
+                o.push_str("\"}");
+            }
         }
-        o.push_str(",\"gp\":");
-        match &self.gp {
-            None => o.push_str("null"),
-            Some(g) => o.push_str(&format!(
-                "{{\"length_scale\":{},\"variance\":{},\"noise\":{},\"fitted_n\":{}}}",
-                bits(g.length_scale),
-                bits(g.variance),
-                bits(g.noise),
-                g.fitted_n
-            )),
-        }
-        o.push('}');
+        push_gp(&mut o, self.gp.as_ref());
         o
     }
 
@@ -617,26 +556,7 @@ impl Checkpoint {
     ///
     /// Propagates filesystem failures.
     pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(
-            ".{}-{}.tmp",
-            std::process::id(),
-            WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let tmp = PathBuf::from(tmp);
-        let res = (|| {
-            {
-                let mut f = fs::File::create(&tmp)?;
-                f.write_all(self.to_json().as_bytes())?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, path)
-        })();
-        if res.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        res
+        write_pieces_atomic(path, &[self.to_json().as_bytes()])
     }
 
     /// Reads and parses a checkpoint file.
@@ -650,15 +570,474 @@ impl Checkpoint {
     }
 }
 
-fn bits(v: f64) -> u64 {
-    v.to_bits()
+/// An append-only list section: its encoded items, comma-joined, and
+/// how many items that covers.
+#[derive(Debug, Default)]
+struct Section {
+    body: String,
+    items: usize,
 }
 
-fn bits_array(vs: &[f64]) -> String {
-    let mut o = String::from("[");
-    push_joined(&mut o, vs, |o, v| o.push_str(&bits(*v).to_string()));
-    o.push(']');
-    o
+impl Section {
+    /// Encodes the items of `all` past those already encoded.
+    fn extend<T>(&mut self, all: &[T], mut encode: impl FnMut(&mut String, &T)) {
+        for item in &all[self.items.min(all.len())..] {
+            if self.items > 0 {
+                self.body.push(',');
+            }
+            encode(&mut self.body, item);
+            self.items += 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.body.clear();
+        self.items = 0;
+    }
+}
+
+/// The cache half of a [`CheckpointWriter`]: the counters' encoding and
+/// every resident entry's trace line, JSON-escaped, in key order.
+#[derive(Debug, Default)]
+struct CacheTrace {
+    /// `{"hits":…,…,"trace":"` at the last boundary.
+    open: String,
+    /// The trace's header line for the current entry count, escaped.
+    header: String,
+    /// The escaped `<key> <value>\n` lines, concatenated in key order
+    /// (the trace's order). Bytes, so a merge can move lines in place.
+    body: Vec<u8>,
+    /// The key of each line in `body`, ascending.
+    keys: Vec<EvalKey>,
+    /// The byte offset in `body` where each line ends.
+    ends: Vec<usize>,
+    /// The cache's tables as of the last visit, and its eviction count
+    /// then: an eviction removes an entry, so `body` is rebuilt.
+    cursor: EntryCursor,
+    evictions: u64,
+    /// Scratch: one unescaped line, and this boundary's new keys with
+    /// their escaped lines' spans in `fresh_lines`.
+    line: String,
+    fresh: Vec<(EvalKey, usize, usize)>,
+    fresh_lines: String,
+}
+
+impl CacheTrace {
+    /// Brings the lines up to date with `cache`, encoding only the lines
+    /// of keys not seen before.
+    fn sync(&mut self, cache: &EvalCache) {
+        let stats = cache.stats();
+        if stats.evictions != self.evictions {
+            self.body.clear();
+            self.keys.clear();
+            self.ends.clear();
+            self.cursor = EntryCursor::default();
+            self.evictions = stats.evictions;
+        }
+        let CacheTrace {
+            keys,
+            cursor,
+            line,
+            fresh,
+            fresh_lines,
+            ..
+        } = self;
+        fresh.clear();
+        fresh_lines.clear();
+        cache.for_each_entry_since(cursor, |key, value| {
+            if keys.binary_search(&key).is_err() {
+                line.clear();
+                push_trace_line(key, value, line);
+                let start = fresh_lines.len();
+                json::escape_chars_into(line, fresh_lines);
+                fresh.push((key, start, fresh_lines.len()));
+            }
+        });
+        fresh.sort_unstable_by_key(|&(key, ..)| key);
+        self.merge_fresh();
+        self.line.clear();
+        push_trace_header(self.keys.len(), &mut self.line);
+        self.header.clear();
+        json::escape_chars_into(&self.line, &mut self.header);
+    }
+
+    /// Merges the sorted `fresh` lines into `body` in place: from the
+    /// back, each run of old lines after a new one moves right by the
+    /// bytes of the new lines before it, and the new line goes in the
+    /// gap.
+    fn merge_fresh(&mut self) {
+        let n_old = self.keys.len();
+        let fresh = &self.fresh;
+        let fresh_lines = self.fresh_lines.as_bytes();
+        // Grow to the merged sizes (the filler is overwritten).
+        self.body.extend_from_slice(fresh_lines);
+        self.keys.extend(fresh.iter().map(|&(key, ..)| key));
+        self.ends.resize(n_old + fresh.len(), 0);
+        let (body, keys, ends) = (&mut self.body, &mut self.keys, &mut self.ends);
+        // Old lines `0..hi` are not placed yet; the merged text ends at
+        // byte `w_byte` and line `w_line`.
+        let mut hi = n_old;
+        let mut w_byte = body.len();
+        let mut w_line = keys.len();
+        for &(key, start, end) in fresh.iter().rev() {
+            let lo = keys[..hi].partition_point(|&k| k < key);
+            let end_of = |i: usize| if i == 0 { 0 } else { ends[i - 1] };
+            let (from, to) = (end_of(lo), end_of(hi));
+            let shift = w_byte - to;
+            body.copy_within(from..to, from + shift);
+            let moved = hi - lo;
+            keys.copy_within(lo..hi, w_line - moved);
+            ends.copy_within(lo..hi, w_line - moved);
+            for e in &mut ends[w_line - moved..w_line] {
+                *e += shift;
+            }
+            w_byte -= to - from;
+            w_line -= moved;
+            let len = end - start;
+            body[w_byte - len..w_byte].copy_from_slice(&fresh_lines[start..end]);
+            keys[w_line - 1] = key;
+            ends[w_line - 1] = w_byte;
+            w_byte -= len;
+            w_line -= 1;
+            hi = lo;
+        }
+    }
+}
+
+/// Writes the checkpoints of one run, encoding at each iteration
+/// boundary only what changed since the previous one.
+///
+/// Evaluations, feature and objective rows, the accepted distances and
+/// the convergence trace only grow between boundaries, so their encoded
+/// items are kept and new items appended. The HF training rows are
+/// re-encoded when the loop drops their oldest rows. The evaluation
+/// cache's trace lines are kept pre-escaped by key, and only lines of
+/// new keys are encoded. The small sections (configuration, RNG, clock,
+/// UUL, front, counters, cache counts, GP hypers) are encoded afresh.
+/// [`CheckpointWriter::write`] then writes the encoded sections in
+/// order, which concatenate to [`Checkpoint::to_json`] of the same
+/// boundary.
+///
+/// At a boundary, the caller calls [`CheckpointWriter::begin`] and every
+/// other boundary method once, then [`CheckpointWriter::commit`].
+#[derive(Debug)]
+pub(crate) struct CheckpointWriter {
+    path: PathBuf,
+    /// `,"networks":[…]`: fixed for the run.
+    networks: String,
+    /// Every field before `accepted_d`.
+    head: String,
+    front: String,
+    accepted_d: Section,
+    evaluations: Section,
+    all_xs: Section,
+    all_ys: Section,
+    hf_xs: Section,
+    hf_ys: Section,
+    /// Leading HF rows dropped before `hf_xs`/`hf_ys` were encoded.
+    hf_dropped: usize,
+    search_trace: Section,
+    /// `,"counters":{…},"cache":`
+    counters: String,
+    cache: Option<CacheTrace>,
+    /// `,"gp":…}`
+    gp: String,
+    /// A committed boundary is not on disk yet.
+    pending: bool,
+}
+
+impl CheckpointWriter {
+    /// A writer for the checkpoints at `path` of a run over `networks`
+    /// (`(name, layers)` pairs).
+    pub fn new<'a>(
+        path: impl Into<PathBuf>,
+        networks: impl IntoIterator<Item = (&'a str, usize)>,
+    ) -> Self {
+        let mut encoded = String::new();
+        push_networks(&mut encoded, networks);
+        CheckpointWriter {
+            path: path.into(),
+            networks: encoded,
+            head: String::new(),
+            front: String::new(),
+            accepted_d: Section::default(),
+            evaluations: Section::default(),
+            all_xs: Section::default(),
+            all_ys: Section::default(),
+            hf_xs: Section::default(),
+            hf_ys: Section::default(),
+            hf_dropped: 0,
+            search_trace: Section::default(),
+            counters: String::new(),
+            cache: None,
+            gp: String::new(),
+            pending: false,
+        }
+    }
+
+    /// Starts a boundary: the scalar state after `iterations_done`
+    /// iterations.
+    #[allow(clippy::too_many_arguments)]
+    pub fn begin(
+        &mut self,
+        config: &UnicoConfig,
+        platform: &str,
+        iterations_done: usize,
+        rng: [u64; 4],
+        clock_seconds: f64,
+        uul: f64,
+        gp: Option<&GpHypers>,
+    ) {
+        self.head.clear();
+        push_head(
+            &mut self.head,
+            config,
+            platform,
+            iterations_done,
+            rng,
+            clock_seconds,
+            uul,
+        );
+        self.gp.clear();
+        push_gp(&mut self.gp, gp);
+    }
+
+    /// The Pareto archive, as `(objectives, evaluation index)` pairs.
+    pub fn front<'a>(&mut self, entries: impl IntoIterator<Item = (&'a [f64], usize)>) {
+        self.front.clear();
+        push_front(&mut self.front, entries);
+    }
+
+    /// Every evaluation record so far: only those past the previous
+    /// boundary's are converted (`snapshot`) and encoded. A record must
+    /// be final by the boundary that first sees it.
+    pub fn evaluations<T>(&mut self, records: &[T], mut snapshot: impl FnMut(&T) -> EvalSnapshot) {
+        self.evaluations
+            .extend(records, |o, r| push_evaluation(o, &snapshot(r)));
+    }
+
+    /// The accepted ParEGO distances and the feasible samples' feature
+    /// and objective rows so far (all append-only).
+    pub fn samples(&mut self, accepted_d: &[f64], all_xs: &[Vec<f64>], all_ys: &[Vec<f64>]) {
+        self.accepted_d.extend(accepted_d, |o, d| push_bits(o, *d));
+        self.all_xs.extend(all_xs, |o, r| push_bits_row(o, r));
+        self.all_ys.extend(all_ys, |o, r| push_bits_row(o, r));
+    }
+
+    /// The high-fidelity training rows, after `dropped` leading rows
+    /// were removed over the whole run: when that count moved, both
+    /// sections are encoded afresh.
+    pub fn hf_rows(&mut self, hf_xs: &[Vec<f64>], hf_ys: &[Vec<f64>], dropped: usize) {
+        if dropped != self.hf_dropped {
+            self.hf_xs.clear();
+            self.hf_ys.clear();
+            self.hf_dropped = dropped;
+        }
+        self.hf_xs.extend(hf_xs, |o, r| push_bits_row(o, r));
+        self.hf_ys.extend(hf_ys, |o, r| push_bits_row(o, r));
+    }
+
+    /// The convergence trace so far (append-only): `point` gives an
+    /// item's seconds and front.
+    pub fn search_trace<T>(&mut self, points: &[T], point: impl Fn(&T) -> (f64, &[Vec<f64>])) {
+        self.search_trace.extend(points, |o, p| {
+            let (seconds, front) = point(p);
+            push_trace_point(o, seconds, front)
+        });
+    }
+
+    /// The telemetry counter totals, sorted by name.
+    pub fn counters<'a>(&mut self, counters: impl IntoIterator<Item = (&'a str, u64)>) {
+        self.counters.clear();
+        push_counters(&mut self.counters, counters);
+    }
+
+    /// The evaluation-cache section: the run-so-far `(hits, misses,
+    /// evictions)` the checkpoint records and the cache whose entries
+    /// the trace holds (`None` without a cache). Only entries new since
+    /// the previous boundary are encoded, unless the cache evicted.
+    pub fn cache(&mut self, cache: Option<((u64, u64, u64), &EvalCache)>) {
+        let Some(((hits, misses, evictions), cache)) = cache else {
+            self.cache = None;
+            return;
+        };
+        let t = self.cache.get_or_insert_with(CacheTrace::default);
+        t.open.clear();
+        push_cache_open(&mut t.open, hits, misses, evictions);
+        t.sync(cache);
+    }
+
+    /// Ends the boundary: its state is what the next
+    /// [`CheckpointWriter::write`] puts on disk.
+    pub fn commit(&mut self) {
+        self.pending = true;
+    }
+
+    /// `true` when a committed boundary has not been written yet.
+    pub fn is_pending(&self) -> bool {
+        self.pending
+    }
+
+    /// The committed boundary's document, as the pieces that concatenate
+    /// to it.
+    fn pieces(&self) -> Vec<&[u8]> {
+        let mut p: Vec<&[u8]> = vec![
+            self.head.as_bytes(),
+            b"\"accepted_d\":[",
+            self.accepted_d.body.as_bytes(),
+            b"],",
+            self.front.as_bytes(),
+            b"\"evaluations\":[",
+            self.evaluations.body.as_bytes(),
+            b"]",
+        ];
+        for (open, rows) in [
+            (",\"all_xs\":[", &self.all_xs),
+            (",\"all_ys\":[", &self.all_ys),
+            (",\"hf_xs\":[", &self.hf_xs),
+            (",\"hf_ys\":[", &self.hf_ys),
+            (",\"trace\":[", &self.search_trace),
+        ] {
+            p.extend([open.as_bytes(), rows.body.as_bytes(), b"]"]);
+        }
+        p.extend([self.networks.as_bytes(), self.counters.as_bytes()]);
+        match &self.cache {
+            None => p.push(b"null"),
+            Some(t) => p.extend([t.open.as_bytes(), t.header.as_bytes(), &t.body, b"\"}"]),
+        }
+        p.push(self.gp.as_bytes());
+        p
+    }
+
+    /// Atomically writes the committed boundary (as
+    /// [`Checkpoint::write_atomic`] does, but straight from the encoded
+    /// sections) and clears [`CheckpointWriter::is_pending`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures; the boundary stays pending.
+    pub fn write(&mut self) -> std::io::Result<()> {
+        write_pieces_atomic(&self.path, &self.pieces())?;
+        self.pending = false;
+        Ok(())
+    }
+
+    /// Panics unless the committed boundary's pieces concatenate to `reference`
+    /// (the same boundary's [`Checkpoint::to_json`]), naming the first
+    /// byte where they differ.
+    ///
+    /// # Panics
+    ///
+    /// On any difference.
+    pub fn assert_matches(&self, reference: &str) {
+        let got = String::from_utf8(self.pieces().concat()).expect("the writer encodes UTF-8");
+        let got = got.as_str();
+        if got != reference {
+            let at = got
+                .bytes()
+                .zip(reference.bytes())
+                .position(|(a, b)| a != b)
+                .unwrap_or(got.len().min(reference.len()));
+            let context = |s: &str| {
+                let lo = at.saturating_sub(40);
+                let hi = (at + 40).min(s.len());
+                String::from_utf8_lossy(&s.as_bytes()[lo..hi]).into_owned()
+            };
+            panic!(
+                "checkpoint writer diverged from Checkpoint::to_json at byte {at} \
+                 (lengths {} vs {}): writer …{}… reference …{}…",
+                got.len(),
+                reference.len(),
+                context(got),
+                context(reference)
+            );
+        }
+    }
+}
+
+/// Stages the concatenation of `pieces` as a uniquely named
+/// `<path>.<pid>-<n>.tmp`, syncs it and renames it over `path` (see
+/// [`Checkpoint::write_atomic`]).
+fn write_pieces_atomic(path: &Path, pieces: &[&[u8]]) -> std::io::Result<()> {
+    static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let res = (|| {
+        {
+            let mut f = fs::File::create(&tmp)?;
+            let mut slices: Vec<IoSlice<'_>> = pieces.iter().map(|p| IoSlice::new(p)).collect();
+            let mut rest = slices.as_mut_slice();
+            IoSlice::advance_slices(&mut rest, 0);
+            while !rest.is_empty() {
+                match f.write_vectored(rest) {
+                    Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                    Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            f.sync_all()?;
+        }
+        fs::rename(&tmp, path)
+    })();
+    if res.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    res
+}
+
+// ---- Item encoders: the one definition of the on-disk form, shared by
+// ---- `Checkpoint::to_json` and `CheckpointWriter`. None allocates.
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ascii"));
+}
+
+fn push_usize(out: &mut String, v: usize) {
+    push_u64(out, v as u64);
+}
+
+/// Appends a float as its bit pattern.
+fn push_bits(out: &mut String, v: f64) {
+    push_u64(out, v.to_bits());
+}
+
+fn push_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
+}
+
+/// Appends `[b0,b1,...]`, each float as its bit pattern.
+fn push_bits_row(out: &mut String, vs: &[f64]) {
+    out.push('[');
+    push_joined(out, vs, |o, v| push_bits(o, *v));
+    out.push(']');
 }
 
 fn push_joined<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, &T)) {
@@ -668,6 +1047,174 @@ fn push_joined<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, 
         }
         f(out, item);
     }
+}
+
+/// `{"schema":…,"config":{…},"platform":…,…,"uul":…,`: every field
+/// before `accepted_d`.
+fn push_head(
+    o: &mut String,
+    c: &UnicoConfig,
+    platform: &str,
+    iterations_done: usize,
+    rng: [u64; 4],
+    clock_seconds: f64,
+    uul: f64,
+) {
+    o.push_str("{\"schema\":");
+    json::escape_into(SCHEMA, o);
+    for (key, v) in [
+        (",\"config\":{\"max_iter\":", c.max_iter as u64),
+        (",\"batch\":", c.batch as u64),
+        (",\"b_max\":", c.b_max),
+        (",\"auc_fraction\":", c.auc_fraction.to_bits()),
+    ] {
+        o.push_str(key);
+        push_u64(o, v);
+    }
+    o.push_str(",\"high_fidelity\":");
+    push_bool(o, c.high_fidelity);
+    o.push_str(",\"robustness_objective\":");
+    push_bool(o, c.robustness_objective);
+    for (key, v) in [
+        (",\"alpha\":", c.alpha.to_bits()),
+        (",\"rho\":", c.rho.to_bits()),
+        (",\"random_fraction\":", c.random_fraction.to_bits()),
+        (",\"candidate_pool\":", c.candidate_pool as u64),
+        (",\"uul_percentile\":", c.uul_percentile.to_bits()),
+        (",\"seed\":", c.seed),
+        (",\"workers\":", u64::from(c.workers)),
+    ] {
+        o.push_str(key);
+        push_u64(o, v);
+    }
+    o.push_str("},\"platform\":");
+    json::escape_into(platform, o);
+    o.push_str(",\"iterations_done\":");
+    push_usize(o, iterations_done);
+    o.push_str(",\"rng\":[");
+    push_joined(o, &rng, |o, w| push_u64(o, *w));
+    o.push_str("],\"clock_seconds\":");
+    push_bits(o, clock_seconds);
+    o.push_str(",\"uul\":");
+    push_bits(o, uul);
+    o.push(',');
+}
+
+/// `"front":[{"y":[…],"idx":…},…],`
+fn push_front<'a>(o: &mut String, entries: impl IntoIterator<Item = (&'a [f64], usize)>) {
+    o.push_str("\"front\":[");
+    for (i, (y, idx)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        o.push_str("{\"y\":");
+        push_bits_row(o, y);
+        o.push_str(",\"idx\":");
+        push_usize(o, idx);
+        o.push('}');
+    }
+    o.push_str("],");
+}
+
+/// One `evaluations` item.
+fn push_evaluation(o: &mut String, e: &EvalSnapshot) {
+    o.push_str("{\"hw\":[");
+    push_joined(o, &e.hw_words, |o, w| push_u64(o, *w));
+    o.push_str("],\"assessment\":");
+    match &e.assessment {
+        None => o.push_str("null"),
+        Some(a) => push_bits_row(o, a),
+    }
+    o.push_str(",\"robustness\":");
+    match e.robustness {
+        None => o.push_str("null"),
+        Some(r) => push_bits(o, r),
+    }
+    o.push_str(",\"spent\":");
+    push_u64(o, e.spent);
+    o.push_str(",\"iteration\":");
+    push_usize(o, e.iteration);
+    o.push_str(",\"fed\":");
+    push_bool(o, e.fed);
+    o.push('}');
+}
+
+/// `,"<key>":[`: the opening of a row section after `evaluations`.
+fn push_rows_open(o: &mut String, key: &str) {
+    o.push_str(",\"");
+    o.push_str(key);
+    o.push_str("\":[");
+}
+
+/// One convergence-trace item.
+fn push_trace_point(o: &mut String, seconds: f64, front: &[Vec<f64>]) {
+    o.push_str("{\"seconds\":");
+    push_bits(o, seconds);
+    o.push_str(",\"front\":[");
+    push_joined(o, front, |o, row| push_bits_row(o, row));
+    o.push_str("]}");
+}
+
+/// `,"networks":[…]`
+fn push_networks<'a>(o: &mut String, networks: impl IntoIterator<Item = (&'a str, usize)>) {
+    o.push_str(",\"networks\":[");
+    for (i, (name, layers)) in networks.into_iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        o.push_str("{\"name\":");
+        json::escape_into(name, o);
+        o.push_str(",\"layers\":");
+        push_usize(o, layers);
+        o.push('}');
+    }
+    o.push(']');
+}
+
+/// `,"counters":{…},"cache":`, counters in the order given (by name).
+fn push_counters<'a>(o: &mut String, counters: impl IntoIterator<Item = (&'a str, u64)>) {
+    o.push_str(",\"counters\":{");
+    for (i, (name, v)) in counters.into_iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        json::escape_into(name, o);
+        o.push(':');
+        push_u64(o, v);
+    }
+    o.push_str("},\"cache\":");
+}
+
+/// `{"hits":…,"misses":…,"evictions":…,"trace":"`: the cache object up
+/// to the body of its trace string.
+fn push_cache_open(o: &mut String, hits: u64, misses: u64, evictions: u64) {
+    o.push_str("{\"hits\":");
+    push_u64(o, hits);
+    o.push_str(",\"misses\":");
+    push_u64(o, misses);
+    o.push_str(",\"evictions\":");
+    push_u64(o, evictions);
+    o.push_str(",\"trace\":\"");
+}
+
+/// `,"gp":…}`: the last field and the closing brace.
+fn push_gp(o: &mut String, gp: Option<&GpHypers>) {
+    o.push_str(",\"gp\":");
+    match gp {
+        None => o.push_str("null"),
+        Some(g) => {
+            o.push_str("{\"length_scale\":");
+            push_bits(o, g.length_scale);
+            o.push_str(",\"variance\":");
+            push_bits(o, g.variance);
+            o.push_str(",\"noise\":");
+            push_bits(o, g.noise);
+            o.push_str(",\"fitted_n\":");
+            push_usize(o, g.fitted_n);
+            o.push('}');
+        }
+    }
+    o.push('}');
 }
 
 fn missing(key: &str) -> String {

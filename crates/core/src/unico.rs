@@ -18,8 +18,8 @@ use unico_surrogate::scalarize::{normalize_columns, parego, sample_simplex};
 use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, KernelKind};
 
 use crate::checkpoint::{
-    CacheSnapshot, Checkpoint, CheckpointError, CheckpointPolicy, EvalSnapshot, FrontEntry,
-    GpHypers, NetworkSnapshot, TraceSnapshot,
+    CacheSnapshot, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointWriter, EvalSnapshot,
+    FrontEntry, GpHypers, NetworkSnapshot, TraceSnapshot,
 };
 use crate::robustness::aggregate_robustness;
 
@@ -302,6 +302,9 @@ struct LoopState<H> {
     all_ys: Vec<Vec<f64>>,
     hf_xs: Vec<Vec<f64>>,
     hf_ys: Vec<Vec<f64>>,
+    /// Leading rows dropped from `hf_xs`/`hf_ys` by this loop so far
+    /// (tells the checkpoint writer to re-encode them).
+    hf_dropped: usize,
     accepted_d: Vec<f64>,
     uul: f64,
     /// Live surrogate carried across iterations so acquisition rounds
@@ -336,6 +339,7 @@ impl<H> LoopState<H> {
             all_ys: Vec::new(),
             hf_xs: Vec::new(),
             hf_ys: Vec::new(),
+            hf_dropped: 0,
             accepted_d: Vec::new(),
             uul: f64::INFINITY,
             gp: None,
@@ -403,6 +407,7 @@ fn restore_state<P: Platform>(
         all_ys: ck.all_ys.clone(),
         hf_xs: ck.hf_xs.clone(),
         hf_ys: ck.hf_ys.clone(),
+        hf_dropped: 0,
         accepted_d: ck.accepted_d.clone(),
         uul: ck.uul,
         // The factorization itself is not serialized; the first
@@ -416,13 +421,77 @@ fn restore_state<P: Platform>(
     })
 }
 
+/// The cache's counter deltas since the run started, when a cache is
+/// attached.
+fn cache_delta<P: Platform>(platform: &P, cache_start: Option<&CacheStats>) -> Option<CacheStats> {
+    match (platform.eval_cache(), cache_start) {
+        (Some(c), Some(start)) => Some(c.stats().delta_since(start)),
+        _ => None,
+    }
+}
+
+/// Counter totals a checkpoint after this boundary records, sorted by
+/// name. They fold in the live engine metrics and the cache delta
+/// (which the uninterrupted run only adds to telemetry at the end),
+/// count the checkpoint write carrying them, and exclude
+/// `engine_threads_spawned` (a resumed run spawns its own pool), so a
+/// resumed run's totals line up exactly with an uninterrupted run's.
+fn checkpoint_counters(
+    telemetry: &Telemetry,
+    engine: &MappingEngine,
+    cache_delta: Option<&CacheStats>,
+) -> Vec<(&'static str, u64)> {
+    let m = engine.metrics();
+    let mut counters: Vec<(&'static str, u64)> = Counter::ALL
+        .into_iter()
+        .filter(|&c| c != Counter::EngineThreadsSpawned)
+        .map(|c| {
+            let extra = match c {
+                Counter::EngineJobs => m.jobs_executed,
+                Counter::EngineBatches => m.batches,
+                Counter::EnginePanics => m.panics_contained,
+                Counter::CheckpointsWritten => 1,
+                Counter::CacheHits => cache_delta.map_or(0, |d| d.hits),
+                Counter::CacheMisses => cache_delta.map_or(0, |d| d.misses),
+                Counter::CacheEvictions => cache_delta.map_or(0, |d| d.evictions),
+                _ => 0,
+            };
+            (c.name(), telemetry.get(c) + extra)
+        })
+        .collect();
+    counters.sort_unstable_by_key(|&(name, _)| name);
+    counters
+}
+
+/// The run-so-far `(hits, misses, evictions)` a checkpoint records: the
+/// restored baseline plus this run's delta.
+fn cache_totals<H>(st: &LoopState<H>, d: &CacheStats) -> (u64, u64, u64) {
+    let (base_h, base_m, base_e) = st.cache_baseline.unwrap_or((0, 0, 0));
+    (base_h + d.hits, base_m + d.misses, base_e + d.evictions)
+}
+
+/// One evaluation record in checkpoint form.
+fn eval_snapshot<P: Platform>(platform: &P, r: &HwRecord<P::Hw>) -> EvalSnapshot {
+    EvalSnapshot {
+        hw_words: platform
+            .hw_words(&r.hw)
+            .expect("checkpointing requires Platform::hw_words support"),
+        assessment: r
+            .assessment
+            .as_ref()
+            .map(|a| [a.latency_s, a.power_mw, a.area_mm2]),
+        robustness: r.robustness,
+        spent: r.budget_spent,
+        iteration: r.iteration,
+        fed: r.fed_surrogate,
+    }
+}
+
 /// Snapshots the loop at the boundary after `done` completed
-/// iterations. Counter totals fold in the live engine metrics and the
-/// cache delta (which the uninterrupted run only adds to telemetry at
-/// the end), count the checkpoint write carrying the snapshot, and
-/// exclude `engine_threads_spawned` (a resumed run spawns its own
-/// pool), so a resumed run's totals line up exactly with an
-/// uninterrupted run's.
+/// iterations (counters per [`checkpoint_counters`]). This is the
+/// reference for [`commit_boundary`]: debug builds check at every
+/// boundary that the writer's bytes equal this snapshot's
+/// [`Checkpoint::to_json`].
 fn build_checkpoint<P: Platform>(
     cfg: &UnicoConfig,
     env: &CoSearchEnv<'_, P>,
@@ -433,29 +502,7 @@ fn build_checkpoint<P: Platform>(
     cache_start: Option<&CacheStats>,
 ) -> Checkpoint {
     let platform = env.platform();
-    let cache_delta = match (platform.eval_cache(), cache_start) {
-        (Some(c), Some(start)) => Some((c.stats().delta_since(start), c.to_trace())),
-        _ => None,
-    };
-    let m = engine.metrics();
-    let mut counters = BTreeMap::new();
-    for c in Counter::ALL {
-        if c == Counter::EngineThreadsSpawned {
-            continue;
-        }
-        let extra = match c {
-            Counter::EngineJobs => m.jobs_executed,
-            Counter::EngineBatches => m.batches,
-            Counter::EnginePanics => m.panics_contained,
-            Counter::CheckpointsWritten => 1,
-            Counter::CacheHits => cache_delta.as_ref().map_or(0, |(d, _)| d.hits),
-            Counter::CacheMisses => cache_delta.as_ref().map_or(0, |(d, _)| d.misses),
-            Counter::CacheEvictions => cache_delta.as_ref().map_or(0, |(d, _)| d.evictions),
-            _ => 0,
-        };
-        counters.insert(c.name().to_string(), telemetry.get(c) + extra);
-    }
-    let (base_h, base_m, base_e) = st.cache_baseline.unwrap_or((0, 0, 0));
+    let delta = cache_delta(platform, cache_start);
     Checkpoint {
         config: *cfg,
         platform: platform.name().to_string(),
@@ -472,19 +519,7 @@ fn build_checkpoint<P: Platform>(
         evaluations: st
             .evaluations
             .iter()
-            .map(|r| EvalSnapshot {
-                hw_words: platform
-                    .hw_words(&r.hw)
-                    .expect("checkpointing requires Platform::hw_words support"),
-                assessment: r
-                    .assessment
-                    .as_ref()
-                    .map(|a| [a.latency_s, a.power_mw, a.area_mm2]),
-                robustness: r.robustness,
-                spent: r.budget_spent,
-                iteration: r.iteration,
-                fed: r.fed_surrogate,
-            })
+            .map(|r| eval_snapshot(platform, r))
             .collect(),
         all_xs: st.all_xs.clone(),
         all_ys: st.all_ys.clone(),
@@ -507,34 +542,79 @@ fn build_checkpoint<P: Platform>(
                 layers: n.layers().len(),
             })
             .collect(),
-        counters,
-        cache: cache_delta.map(|(d, trace)| CacheSnapshot {
-            hits: base_h + d.hits,
-            misses: base_m + d.misses,
-            evictions: base_e + d.evictions,
-            trace,
+        counters: checkpoint_counters(telemetry, engine, delta.as_ref())
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect(),
+        cache: platform.eval_cache().zip(delta).map(|(c, d)| {
+            let (hits, misses, evictions) = cache_totals(st, &d);
+            CacheSnapshot {
+                hits,
+                misses,
+                evictions,
+                trace: c.to_trace(),
+            }
         }),
         gp: st.gp_hypers,
     }
 }
 
-/// Holds the latest boundary snapshot and flushes it to disk if the
-/// loop unwinds (worker panic, kill hook) before the next periodic
-/// write, so a crash never loses a completed iteration boundary.
+/// Feeds `w` the loop state at the boundary after `done` completed
+/// iterations and commits it: the same state [`build_checkpoint`]
+/// snapshots, of which only what changed since the previous boundary is
+/// encoded.
+#[allow(clippy::too_many_arguments)]
+fn commit_boundary<P: Platform>(
+    w: &mut CheckpointWriter,
+    cfg: &UnicoConfig,
+    env: &CoSearchEnv<'_, P>,
+    done: usize,
+    st: &LoopState<P::Hw>,
+    telemetry: &Telemetry,
+    engine: &MappingEngine,
+    cache_start: Option<&CacheStats>,
+) {
+    let platform = env.platform();
+    w.begin(
+        cfg,
+        platform.name(),
+        done,
+        st.rng.state(),
+        st.clock.seconds(),
+        st.uul,
+        st.gp_hypers.as_ref(),
+    );
+    w.front(st.front.iter().map(|(y, &idx)| (y, idx)));
+    w.evaluations(&st.evaluations, |r| eval_snapshot(platform, r));
+    w.samples(&st.accepted_d, &st.all_xs, &st.all_ys);
+    w.hf_rows(&st.hf_xs, &st.hf_ys, st.hf_dropped);
+    w.search_trace(st.trace.points(), |p| (p.seconds, p.front.as_slice()));
+    let delta = cache_delta(platform, cache_start);
+    w.counters(checkpoint_counters(telemetry, engine, delta.as_ref()));
+    w.cache(
+        platform
+            .eval_cache()
+            .zip(delta)
+            .map(|(c, d)| (cache_totals(st, &d), c)),
+    );
+    w.commit();
+}
+
+/// Owns the run's [`CheckpointWriter`] and, if the loop unwinds (worker
+/// panic, kill hook) before the next periodic write, writes the last
+/// committed boundary, so a crash never loses a completed iteration
+/// boundary.
 #[derive(Default)]
 struct CheckpointGuard {
-    armed: Option<(Checkpoint, PathBuf)>,
+    writer: Option<CheckpointWriter>,
 }
 
 impl CheckpointGuard {
-    fn arm(&mut self, ck: Checkpoint, path: PathBuf) {
-        self.armed = Some((ck, path));
-    }
-
+    /// Writes the committed boundary, if it is not on disk yet.
     fn flush(&mut self) -> std::io::Result<()> {
-        match self.armed.take() {
-            Some((ck, path)) => ck.write_atomic(&path),
-            None => Ok(()),
+        match &mut self.writer {
+            Some(w) if w.is_pending() => w.write(),
+            _ => Ok(()),
         }
     }
 }
@@ -692,7 +772,14 @@ impl Unico {
         }
         let engine = MappingEngine::new((cfg.workers as usize).max(1));
         let cache_start = env.platform().eval_cache().map(EvalCache::stats);
-        let mut guard = CheckpointGuard::default();
+        let mut guard = CheckpointGuard {
+            writer: opts.checkpoint.as_ref().map(|policy| {
+                CheckpointWriter::new(
+                    &policy.path,
+                    env.networks().iter().map(|n| (n.name(), n.layers().len())),
+                )
+            }),
+        };
         let mut iterations_done = st.start_iter;
         let mut cancelled = false;
 
@@ -749,29 +836,31 @@ impl Unico {
 
             // ---- Assess the batch: PPA + robustness. ----
             let mut batch_records: Vec<usize> = Vec::with_capacity(sessions.len());
-            for s in &sessions {
-                let assessment = s.assess();
-                let robustness = aggregate_robustness(&s.job_histories(), cfg.alpha);
-                let idx = st.evaluations.len();
-                if let Some(a) = &assessment {
-                    st.front.offer(a.objectives(), idx);
-                    let mut y = a.objectives();
-                    if cfg.robustness_objective {
-                        y.push(robustness.unwrap_or(0.0));
+            telemetry.time("assess", || {
+                for s in &sessions {
+                    let assessment = s.assess();
+                    let robustness = aggregate_robustness(&s.job_histories(), cfg.alpha);
+                    let idx = st.evaluations.len();
+                    if let Some(a) = &assessment {
+                        st.front.offer(a.objectives(), idx);
+                        let mut y = a.objectives();
+                        if cfg.robustness_objective {
+                            y.push(robustness.unwrap_or(0.0));
+                        }
+                        st.all_xs.push(env.platform().encode(s.hw()));
+                        st.all_ys.push(y);
                     }
-                    st.all_xs.push(env.platform().encode(s.hw()));
-                    st.all_ys.push(y);
+                    st.evaluations.push(HwRecord {
+                        hw: s.hw().clone(),
+                        assessment,
+                        robustness,
+                        budget_spent: s.spent(),
+                        iteration,
+                        fed_surrogate: false,
+                    });
+                    batch_records.push(idx);
                 }
-                st.evaluations.push(HwRecord {
-                    hw: s.hw().clone(),
-                    assessment,
-                    robustness,
-                    budget_spent: s.spent(),
-                    iteration,
-                    fed_surrogate: false,
-                });
-                batch_records.push(idx);
-            }
+            });
             // Fusion-planner counters accumulate inside each session as
             // SH and the final assessment price candidate groups.
             let mut fstats = unico_mapping::FusionStats::default();
@@ -831,6 +920,7 @@ impl Unico {
                         let drop = st.hf_xs.len() - HF_CAP;
                         st.hf_xs.drain(..drop);
                         st.hf_ys.drain(..drop);
+                        st.hf_dropped += drop;
                         // Dropping leading rows invalidates the carried
                         // Cholesky factor (it extends by appends only);
                         // force a full refit next round.
@@ -854,23 +944,40 @@ impl Unico {
             iterations_done = iteration + 1;
 
             // ---- Checkpoint boundary. ----
-            if let Some(policy) = opts.checkpoint.as_ref() {
+            if let (Some(policy), Some(writer)) = (opts.checkpoint.as_ref(), guard.writer.as_mut())
+            {
                 let done = iteration + 1;
-                let snap = build_checkpoint(
-                    cfg,
-                    env,
-                    done,
-                    &st,
-                    &telemetry,
-                    &engine,
-                    cache_start.as_ref(),
-                );
-                guard.arm(snap, policy.path.clone());
+                telemetry.time("checkpoint", || {
+                    commit_boundary(
+                        writer,
+                        cfg,
+                        env,
+                        done,
+                        &st,
+                        &telemetry,
+                        &engine,
+                        cache_start.as_ref(),
+                    )
+                });
+                if cfg!(debug_assertions) {
+                    let reference = build_checkpoint(
+                        cfg,
+                        env,
+                        done,
+                        &st,
+                        &telemetry,
+                        &engine,
+                        cache_start.as_ref(),
+                    );
+                    writer.assert_matches(&reference.to_json());
+                }
                 if opts.kill_after == Some(done) {
                     panic!("unico: kill_after test hook fired at checkpoint boundary {done}");
                 }
                 if done % policy.every == 0 || done == cfg.max_iter {
-                    guard.flush().expect("checkpoint write failed");
+                    telemetry
+                        .time("checkpoint", || guard.flush())
+                        .expect("checkpoint write failed");
                     telemetry.add(Counter::CheckpointsWritten, 1);
                 }
             }
@@ -892,25 +999,21 @@ impl Unico {
         telemetry.add(Counter::EngineBatches, m.batches);
         telemetry.add(Counter::EnginePanics, m.panics_contained);
         telemetry.add(Counter::EngineThreadsSpawned, m.threads_spawned);
-        let cache_delta = match (env.platform().eval_cache(), cache_start) {
-            (Some(cache), Some(start)) => {
-                let d = cache.stats().delta_since(&start);
-                telemetry.add_cache_stats(d);
-                // A resumed run reports whole-run totals: the restored
-                // baseline plus its own delta (entries is a level, not
-                // a counter, so the live value is already the total).
-                let (base_h, base_m, base_e) = st.cache_baseline.unwrap_or((0, 0, 0));
-                Some(CacheStats {
-                    hits: base_h + d.hits,
-                    misses: base_m + d.misses,
-                    evictions: base_e + d.evictions,
-                    entries: d.entries,
-                })
+        let run_cache = cache_delta(env.platform(), cache_start.as_ref()).map(|d| {
+            telemetry.add_cache_stats(d);
+            // A resumed run reports whole-run totals: the restored
+            // baseline plus its own delta (entries is a level, not a
+            // counter, so the live value is already the total).
+            let (hits, misses, evictions) = cache_totals(&st, &d);
+            CacheStats {
+                hits,
+                misses,
+                evictions,
+                entries: d.entries,
             }
-            _ => None,
-        };
+        });
         let mut report = telemetry.report("unico.run");
-        report.cache = cache_delta.map(CacheReport::from);
+        report.cache = run_cache.map(CacheReport::from);
         Telemetry::global().absorb(&telemetry);
 
         UnicoResult {

@@ -40,7 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::evalcache::{
-    parse_trace_entries, EvalKey, EvalResult, PassThroughState, SHARD_COUNT, TRACE_HEADER,
+    parse_trace_entries, push_trace_header, push_trace_line, EvalKey, EvalResult, PassThroughState,
+    SHARD_COUNT,
 };
 
 /// Entries buffered per shard before an automatic segment flush.
@@ -257,15 +258,9 @@ impl DiskTier {
         let mut entries = std::mem::take(&mut shard.pending);
         entries.sort_by_key(|(k, _)| *k);
         let mut text = String::with_capacity(16 + entries.len() * 120);
-        text.push_str(TRACE_HEADER);
-        text.push(' ');
-        text.push_str(&entries.len().to_string());
-        text.push('\n');
+        push_trace_header(entries.len(), &mut text);
         for (k, v) in &entries {
-            text.push_str(&k.to_hex());
-            text.push(' ');
-            crate::evalcache::encode_result(v, &mut text);
-            text.push('\n');
+            push_trace_line(*k, v, &mut text);
         }
         let name = format!(
             "seg-{}-{}-{:06}.trace",

@@ -781,24 +781,51 @@ impl EvalCache {
         s
     }
 
+    /// Calls `f` on every resident entry, shards first, then partitions,
+    /// in no particular order within a table. `f` runs under the
+    /// table's lock, so it must not use this cache.
+    pub fn for_each_entry(&self, f: impl FnMut(EvalKey, &EvalResult)) {
+        self.for_each_entry_since(&mut EntryCursor::default(), f);
+    }
+
+    /// [`EvalCache::for_each_entry`] over only the tables whose entry
+    /// count changed since `cursor`'s previous visit, which it records.
+    /// Entries are only ever removed by eviction, so in a cache whose
+    /// eviction count did not move every entry added since the previous
+    /// visit is visited, along with the older entries of the tables
+    /// that grew; the tables that did not grow are not read at all.
+    pub fn for_each_entry_since(
+        &self,
+        cursor: &mut EntryCursor,
+        mut f: impl FnMut(EvalKey, &EvalResult),
+    ) {
+        let mut i = 0;
+        self.for_each_table(|t| {
+            if cursor.lens.len() == i {
+                cursor.lens.push(0);
+            }
+            if t.entries.len() != cursor.lens[i] {
+                cursor.lens[i] = t.entries.len();
+                for (k, v) in &t.entries {
+                    f(*k, v);
+                }
+            }
+            i += 1;
+        });
+    }
+
     /// Serializes every entry to the golden-trace format: a header line
     /// `unico.evaltrace.v1 <count>`, then one `<key-hex> <value>` line
     /// per entry, sorted by key. Floats are IEEE-754 bit patterns in
     /// hex, so the output is byte-for-byte reproducible.
     pub fn to_trace(&self) -> String {
         let mut entries: Vec<(EvalKey, EvalResult)> = Vec::new();
-        self.for_each_table(|t| entries.extend(t.entries.iter().map(|(k, v)| (*k, *v))));
-        entries.sort_by_key(|(k, _)| *k);
-        let mut out = String::with_capacity(16 + entries.len() * 120);
-        out.push_str(TRACE_HEADER);
-        out.push(' ');
-        out.push_str(&entries.len().to_string());
-        out.push('\n');
+        self.for_each_entry(|k, v| entries.push((k, *v)));
+        entries.sort_unstable_by_key(|(k, _)| *k);
+        let mut out = String::with_capacity(32 + entries.len() * TRACE_LINE_BYTES);
+        push_trace_header(entries.len(), &mut out);
         for (k, v) in &entries {
-            out.push_str(&k.to_hex());
-            out.push(' ');
-            encode_result(v, &mut out);
-            out.push('\n');
+            push_trace_line(*k, v, &mut out);
         }
         out
     }
@@ -854,6 +881,15 @@ impl EvalCache {
         }
         true
     }
+}
+
+/// Where an [`EvalCache::for_each_entry_since`] visit left off: the
+/// entry count of each of the cache's tables (shards, then partitions
+/// in creation order, neither ever removed). A default cursor has seen
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct EntryCursor {
+    lens: Vec<usize>,
 }
 
 /// One binding's view of an [`EvalCache`] (see [`EvalCache::bind`]):
@@ -936,18 +972,45 @@ pub(crate) fn parse_trace_entries(text: &str) -> Result<Vec<(EvalKey, EvalResult
     Ok(entries)
 }
 
-pub(crate) fn encode_result(v: &EvalResult, out: &mut String) {
+/// Length of a feasible entry's trace line, newline included (most
+/// lines are this long; capacity hint only).
+const TRACE_LINE_BYTES: usize = 32 + 2 + 4 * 17 + 1;
+
+/// Appends the golden-trace header line for a trace of `count` entries.
+pub fn push_trace_header(count: usize, out: &mut String) {
+    use std::fmt::Write;
+    let _ = writeln!(out, "{TRACE_HEADER} {count}");
+}
+
+/// Appends one golden-trace entry line, `<key-hex> <value>\n`: the line
+/// [`EvalCache::to_trace`] writes for the entry.
+pub fn push_trace_line(key: EvalKey, v: &EvalResult, out: &mut String) {
+    push_hex(out, (key.0 >> 64) as u64);
+    push_hex(out, key.0 as u64);
+    out.push(' ');
+    encode_result(v, out);
+    out.push('\n');
+}
+
+/// Appends `v` as 16 lowercase hex digits.
+fn push_hex(out: &mut String, v: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[((v >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&digits).expect("hex digits are ascii"));
+}
+
+fn encode_result(v: &EvalResult, out: &mut String) {
     use std::fmt::Write;
     match v {
         Ok(p) => {
-            let _ = write!(
-                out,
-                "P {:016x} {:016x} {:016x} {:016x}",
-                p.latency_s.to_bits(),
-                p.power_mw.to_bits(),
-                p.area_mm2.to_bits(),
-                p.energy_pj.to_bits()
-            );
+            out.push('P');
+            for f in [p.latency_s, p.power_mw, p.area_mm2, p.energy_pj] {
+                out.push(' ');
+                push_hex(out, f.to_bits());
+            }
         }
         Err(EvalError::L1Overflow {
             required,

@@ -60,8 +60,9 @@ pub use analytical::{AnalyticalModel, BoundSpatialCost, EvalBreakdown, MappingOb
 pub use batch::MappingRow;
 pub use disktier::{DiskTier, DiskTierStats};
 pub use evalcache::{
-    spatial_eval_key, spatial_key_prefix, CachePartition, CacheStats, EngineTag, EvalCache,
-    EvalKey, EvalKeyBuilder, EvalResult, TraceError, SHARD_COUNT, TRACE_HEADER,
+    push_trace_header, push_trace_line, spatial_eval_key, spatial_key_prefix, CachePartition,
+    CacheStats, EngineTag, EntryCursor, EvalCache, EvalKey, EvalKeyBuilder, EvalResult, TraceError,
+    SHARD_COUNT, TRACE_HEADER,
 };
 pub use fused::{
     fused_member_key, FusedCostOracle, FusedGroupEval, FusedMember, FusedMemberCost, FusionPricer,

@@ -9,6 +9,7 @@
 //! bounded retry to them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use unico_model::Platform;
@@ -20,11 +21,13 @@ use crate::telemetry::{Counter, Telemetry};
 
 /// Advances the selected sessions to `budget` on a persistent engine.
 ///
-/// Each selected session becomes one queued job. A panicking job is
-/// contained by the worker and additionally marks its session as
-/// poisoned (see [`HwSession::poison`]), so the batch and the enclosing
-/// run keep going. Returns the number of worker panics the engine
-/// contained.
+/// Each selected session becomes one queued job. A mapping search that
+/// panics is caught inside its job and poisons its session (see
+/// [`HwSession::poison`]), so the batch and the enclosing run keep
+/// going. Returns the number of panics contained: the searches caught
+/// inside their jobs (also booked as `engine_panics` in `telemetry`)
+/// plus the injected worker panics the engine contained (which the
+/// engine's `panics_contained` metric counts instead).
 ///
 /// With `faults` set, the advance claims the context's next batch
 /// index, consults its [`FaultPlan`](crate::fault::FaultPlan) per
@@ -82,6 +85,14 @@ where
         .map(|(i, (s, _))| (i, s))
         .collect();
     let mut contained = 0u64;
+    let caught = AtomicU64::new(0);
+    // Advances a session, poisoning it if its mapping search panics.
+    let advance = |session: &mut HwSession<'_, P>| {
+        if catch_unwind(AssertUnwindSafe(|| session.advance_to(budget))).is_err() {
+            session.poison();
+            caught.fetch_add(1, Ordering::Relaxed);
+        }
+    };
     let mut attempt = 0u32;
     loop {
         let decisions: Vec<Option<FaultKind>> = pending
@@ -106,6 +117,7 @@ where
                 let idx = slot.0;
                 let session: &mut HwSession<'_, P> = &mut *slot.1;
                 let d = *d;
+                let advance = &advance;
                 Box::new(move || match d {
                     Some(FaultKind::WorkerPanic) => {
                         // Poison before unwinding: the panic escapes this
@@ -120,19 +132,10 @@ where
                     Some(FaultKind::Stall) => {
                         std::thread::sleep(Duration::from_millis(policy.stall_ms));
                         if !stall_fails {
-                            let outcome =
-                                catch_unwind(AssertUnwindSafe(|| session.advance_to(budget)));
-                            if outcome.is_err() {
-                                session.poison();
-                            }
+                            advance(session);
                         }
                     }
-                    None => {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| session.advance_to(budget)));
-                        if outcome.is_err() {
-                            session.poison();
-                        }
-                    }
+                    None => advance(session),
                 }) as ScopedJob<'_>
             })
             .collect();
@@ -170,7 +173,9 @@ where
             std::thread::sleep(Duration::from_millis(wait));
         }
     }
-    contained
+    let caught = caught.into_inner();
+    telemetry.add(Counter::EnginePanics, caught);
+    contained + caught
 }
 
 #[cfg(test)]

@@ -60,7 +60,8 @@ pub struct ShOutcome {
     pub finalists: Vec<usize>,
     /// The budget each round ran to (last = `b_max`).
     pub round_budgets: Vec<u64>,
-    /// Worker panics contained during the run (those sessions are
+    /// Panics contained during the run: mapping searches caught in
+    /// their jobs and injected worker panics (those sessions are
     /// poisoned and assess as infeasible).
     pub contained_panics: u64,
 }

@@ -172,20 +172,47 @@ impl fmt::Display for Json {
 /// `\u00XX`, everything else verbatim.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    escape_into(s, &mut out);
     out
+}
+
+/// [`escape`], appended to `out`.
+pub fn escape_into(s: &str, out: &mut String) {
+    out.push('"');
+    escape_chars_into(s, out);
+    out.push('"');
+}
+
+/// Appends the body of [`escape`]'s literal, without the quotes, so a
+/// string literal can be written piece by piece. Plain runs up to the
+/// next `"`, `\` or control byte are copied whole.
+pub fn escape_chars_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let run = plain_run(&bytes[pos..]).len();
+        // The run ends before an ASCII byte or at the end, so both ends
+        // are character boundaries.
+        out.push_str(&s[pos..pos + run]);
+        pos += run;
+        let Some(&b) = bytes.get(pos) else {
+            break;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        pos += 1;
+    }
 }
 
 /// Parses a complete JSON document.
@@ -575,6 +602,25 @@ mod tests {
         assert!(err.contains("field a") && err.contains("string"), "{err}");
     }
 
+    /// [`escape`]'s rule applied one character at a time: the reference
+    /// for the run-copying escaper.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
     /// A JSON string literal the way an external writer might emit it:
     /// quotes, backslashes and control characters always escaped, in
     /// short form where one exists; with `ensure_ascii` every non-ASCII
@@ -722,6 +768,11 @@ mod tests {
         #[test]
         fn escape_round_trips_through_parse(s in text()) {
             prop_assert_eq!(parse(&escape(&s)), Ok(Json::Str(s.clone())));
+        }
+
+        #[test]
+        fn escape_matches_the_char_by_char_rule(s in text()) {
+            prop_assert_eq!(escape(&s), escape_by_char(&s));
         }
 
         #[test]

@@ -187,7 +187,11 @@ fn sh_run_contains_a_panicking_search_and_poisons_the_sessions() {
     // ran, and the search's panic never escaped its job to the worker.
     assert_eq!(out.round_budgets, vec![8, 16]);
     assert_eq!(engine.metrics().jobs_executed, 6);
-    assert_eq!(out.contained_panics, engine.metrics().panics_contained);
+    // Each caught search panic is counted, by the outcome and in
+    // telemetry; none reached the engine's own containment.
+    assert_eq!(out.contained_panics, 6);
+    assert_eq!(telemetry.get(Counter::EnginePanics), 6);
+    assert_eq!(engine.metrics().panics_contained, 0);
     assert_eq!(telemetry.get(Counter::ShRounds), 2);
     for (i, s) in sessions.iter().enumerate() {
         assert!(s.is_poisoned(), "session {i} kept running after a panic");
